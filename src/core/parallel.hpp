@@ -25,7 +25,14 @@ int max_threads();
 int thread_id();
 
 /// Run body(i) for i in [begin, end) with OpenMP dynamic scheduling.
-/// `grain` controls the chunk size handed to each thread.
+/// `grain` controls the chunk size handed to each thread.  Without OpenMP
+/// the bodies run serially in index order.
+///
+/// Exception-safe: an exception never leaves the parallel region.  Each one
+/// is caught where it is thrown, bodies above the lowest failing index seen
+/// so far are skipped, and after the loop the exception of the LOWEST
+/// failing index is rethrown — the same one at any thread count and any
+/// schedule (the serial loop would have stopped there too).
 void parallel_for(index_t begin, index_t end,
                   const std::function<void(index_t)>& body,
                   index_t grain = 1);

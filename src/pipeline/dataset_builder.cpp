@@ -1,5 +1,8 @@
 #include "pipeline/dataset_builder.hpp"
 
+#include <algorithm>
+
+#include "core/parallel.hpp"
 #include "features/matrix_features.hpp"
 #include "stats/summary.hpp"
 
@@ -25,14 +28,6 @@ LabeledSample make_label(index_t matrix_id, const McmcParams& params,
   s.y_mean = mean(ys);
   s.y_std = sample_std(ys);
   return s;
-}
-
-/// Measure one labelled sample: replicated y for (params, method).
-LabeledSample make_sample(PerformanceMeasurer& measurer, index_t matrix_id,
-                          const McmcParams& params, KrylovMethod method,
-                          index_t replicates) {
-  return make_label(matrix_id, params, method,
-                    measurer.measure_replicates(params, method, replicates));
 }
 
 /// Grid-search labels over `grid` x `methods`: trials sharing an alpha run
@@ -70,6 +65,50 @@ void append_grid_samples(SurrogateDataset& dataset,
   }
 }
 
+/// Sampler options of every measurement on matrix `matrix_id`: the seed is
+/// keyed by the dataset seed and the id.
+McmcOptions matrix_mcmc_options(const DatasetBuildOptions& options,
+                                index_t matrix_id) {
+  McmcOptions mcmc = options.mcmc;
+  mcmc.seed = mix64(options.seed ^ static_cast<u64>(matrix_id + 1));
+  return mcmc;
+}
+
+/// Id of the matrix registered under `name`, or -1: a name identifies a
+/// matrix, so a repeated name reuses the first entry.
+index_t find_matrix(const SurrogateDataset& dataset, const std::string& name) {
+  const auto it = std::find(dataset.matrix_names.begin(),
+                            dataset.matrix_names.end(), name);
+  return it == dataset.matrix_names.end()
+             ? -1
+             : static_cast<index_t>(it - dataset.matrix_names.begin());
+}
+
+/// Register every matrix of `matrices` whose name is not yet in `dataset`,
+/// in list order, so ids are those of one-at-a-time registration.  The
+/// graphs and features — one dense SVD per matrix for log_kappa — are
+/// computed concurrently first (a name repeated within the list is
+/// computed per entry and registered once).
+void register_matrices(SurrogateDataset& dataset,
+                       const std::vector<const NamedMatrix*>& matrices) {
+  std::vector<const NamedMatrix*> fresh;
+  for (const NamedMatrix* m : matrices) {
+    if (find_matrix(dataset, m->name) < 0) fresh.push_back(m);
+  }
+  std::vector<gnn::Graph> graphs(fresh.size());
+  std::vector<std::vector<real_t>> features(fresh.size());
+  parallel_for(0, static_cast<index_t>(fresh.size()), [&](index_t i) {
+    const CsrMatrix& a = fresh[static_cast<std::size_t>(i)]->matrix;
+    graphs[static_cast<std::size_t>(i)] = gnn::Graph::from_csr(a);
+    features[static_cast<std::size_t>(i)] = extract_features(a).to_vector();
+  });
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    if (find_matrix(dataset, fresh[i]->name) >= 0) continue;
+    dataset.add_matrix(fresh[i]->name, std::move(graphs[i]),
+                       std::move(features[i]));
+  }
+}
+
 }  // namespace
 
 index_t append_matrix_measurements(SurrogateDataset& dataset,
@@ -77,23 +116,11 @@ index_t append_matrix_measurements(SurrogateDataset& dataset,
                                    const std::vector<McmcParams>& grid,
                                    const std::vector<KrylovMethod>& methods,
                                    const DatasetBuildOptions& options) {
-  // Reuse the matrix entry if it is already registered.
-  index_t matrix_id = -1;
-  for (std::size_t i = 0; i < dataset.matrix_names.size(); ++i) {
-    if (dataset.matrix_names[i] == matrix.name) {
-      matrix_id = static_cast<index_t>(i);
-      break;
-    }
-  }
-  if (matrix_id < 0) {
-    matrix_id = dataset.add_matrix(
-        matrix.name, gnn::Graph::from_csr(matrix.matrix),
-        extract_features(matrix.matrix).to_vector());
-  }
+  register_matrices(dataset, {&matrix});
+  const index_t matrix_id = find_matrix(dataset, matrix.name);
 
-  McmcOptions mcmc = options.mcmc;
-  mcmc.seed = mix64(options.seed ^ static_cast<u64>(matrix_id + 1));
-  PerformanceMeasurer measurer(matrix.matrix, options.solve, mcmc);
+  PerformanceMeasurer measurer(matrix.matrix, options.solve,
+                               matrix_mcmc_options(options, matrix_id));
   append_grid_samples(dataset, measurer, matrix_id, grid, methods,
                       options.replicates);
   if (options.on_matrix) {
@@ -106,16 +133,24 @@ index_t append_matrix_measurements(SurrogateDataset& dataset,
 SurrogateDataset build_dataset(const std::vector<NamedMatrix>& matrices,
                                const DatasetBuildOptions& options) {
   SurrogateDataset dataset;
+  std::vector<const NamedMatrix*> corpus;
+  for (const NamedMatrix& m : matrices) corpus.push_back(&m);
+  register_matrices(dataset, corpus);
+  const std::vector<KrylovMethod> methods = {KrylovMethod::kGMRES,
+                                             KrylovMethod::kBiCGStab};
+  // Near-zero-alpha probes: divergence scenarios for the surrogate.  They
+  // take the grid path too, so one P per (alpha, replicate) serves both
+  // methods.
+  std::vector<McmcParams> divergence_grid;
+  for (index_t d = 0; d < options.divergence_samples; ++d) {
+    divergence_grid.push_back(
+        {0.01 + 0.01 * static_cast<real_t>(d), 0.5, 0.5});
+  }
   for (const NamedMatrix& m : matrices) {
-    std::vector<KrylovMethod> methods = {KrylovMethod::kGMRES,
-                                         KrylovMethod::kBiCGStab};
-    append_matrix_measurements(dataset, m, options.grid, methods, options);
-
     const index_t matrix_id =
-        static_cast<index_t>(dataset.matrix_names.size()) - 1;
-    McmcOptions mcmc = options.mcmc;
-    mcmc.seed = mix64(options.seed ^ static_cast<u64>(matrix_id + 1));
-    PerformanceMeasurer measurer(m.matrix, options.solve, mcmc);
+        append_matrix_measurements(dataset, m, options.grid, methods, options);
+    PerformanceMeasurer measurer(m.matrix, options.solve,
+                                 matrix_mcmc_options(options, matrix_id));
 
     // SPD matrices additionally run CG at the small alpha of §4.2: one
     // (eps, delta) grid at a single alpha — exactly one replicate-batched
@@ -130,18 +165,8 @@ SurrogateDataset build_dataset(const std::vector<NamedMatrix>& matrices,
       append_grid_samples(dataset, measurer, matrix_id, cg_grid,
                           {KrylovMethod::kCG}, options.replicates);
     }
-
-    // Near-zero-alpha probes: divergence scenarios for the surrogate
-    // (single trials per alpha — nothing to batch).
-    for (index_t d = 0; d < options.divergence_samples; ++d) {
-      const real_t tiny_alpha = 0.01 + 0.01 * static_cast<real_t>(d);
-      for (KrylovMethod method :
-           {KrylovMethod::kGMRES, KrylovMethod::kBiCGStab}) {
-        dataset.samples.push_back(
-            make_sample(measurer, matrix_id, {tiny_alpha, 0.5, 0.5}, method,
-                        options.replicates));
-      }
-    }
+    append_grid_samples(dataset, measurer, matrix_id, divergence_grid, methods,
+                        options.replicates);
   }
   return dataset;
 }

@@ -1,6 +1,9 @@
 #include "pipeline/metric.hpp"
 
+#include <algorithm>
+
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "stats/summary.hpp"
 
@@ -40,7 +43,7 @@ McmcOptions PerformanceMeasurer::replicate_options(index_t replicate) const {
 
 void PerformanceMeasurer::score_solve(const SparseApproximateInverse& precond,
                                       KrylovMethod method,
-                                      MetricResult& result) {
+                                      MetricResult& result) const {
   std::vector<real_t> x;
   const SolveResult res = solve(method, a_, rhs_, precond, x, solve_options_);
   result.preconditioned_converged = res.converged();
@@ -121,27 +124,28 @@ PerformanceMeasurer::measure_grid_replicates_methods(
       a_, alpha, trials, replicate_seeds(replicates), mcmc_options_,
       &kernel_cache_);
 
+  // One concurrent cell per (replicate, trial): it owns its P, solves it
+  // once per method and writes pre-sized slots ys[m][t][r], so the output
+  // does not depend on the schedule.  Baselines are cached above, so the
+  // loop only reads shared state.
+  const std::size_t num_trials = trials.size();
+  const auto reps = static_cast<std::size_t>(replicates);
   std::vector<std::vector<std::vector<real_t>>> ys(
-      methods.size(), std::vector<std::vector<real_t>>(trials.size()));
-  for (auto& per_method : ys) {
-    for (auto& column : per_method) {
-      column.reserve(static_cast<std::size_t>(replicates));
+      methods.size(),
+      std::vector<std::vector<real_t>>(num_trials, std::vector<real_t>(reps)));
+  parallel_for(0, static_cast<index_t>(reps * num_trials), [&](index_t cell) {
+    const std::size_t r = static_cast<std::size_t>(cell) / num_trials;
+    const std::size_t t = static_cast<std::size_t>(cell) % num_trials;
+    BatchedGridResult& round = built.replicates[r];
+    const SparseApproximateInverse precond(
+        std::move(round.preconditioners[t]), "mcmcmi");
+    for (std::size_t m = 0; m < methods.size(); ++m) {
+      MetricResult result;
+      result.steps_without = bases[m];
+      score_solve(precond, methods[m], result);
+      ys[m][t][r] = result.y;
     }
-  }
-  for (index_t r = 0; r < replicates; ++r) {
-    BatchedGridResult& round = built.replicates[static_cast<std::size_t>(r)];
-    for (std::size_t t = 0; t < trials.size(); ++t) {
-      const SparseApproximateInverse precond(
-          std::move(round.preconditioners[t]), "mcmcmi");
-      for (std::size_t m = 0; m < methods.size(); ++m) {
-        MetricResult result;
-        result.steps_without = bases[m];
-        result.build = round.info[t];
-        score_solve(precond, methods[m], result);
-        ys[m][t].push_back(result.y);
-      }
-    }
-  }
+  });
   return ys;
 }
 
@@ -161,24 +165,39 @@ std::vector<real_t> PerformanceMeasurer::measure_grouped_medians(
   MultiAlphaGridResult built = multi_alpha_grid_build(
       a_, groups, replicate_seeds(replicates), mcmc_options_, &kernel_cache_);
 
+  // Flatten the (group, replicate, trial) cells: cell_begin[g] is group g's
+  // first cell, and each cell solves into its own pre-sized slot
+  // ys[g][t][r], so the output does not depend on the schedule.
+  const auto reps = static_cast<std::size_t>(replicates);
+  std::vector<std::size_t> cell_begin(groups.size() + 1, 0);
+  std::vector<std::vector<std::vector<real_t>>> ys(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::size_t num_trials = groups[g].trials.size();
+    cell_begin[g + 1] = cell_begin[g] + reps * num_trials;
+    ys[g].assign(num_trials, std::vector<real_t>(reps));
+  }
+  parallel_for(0, static_cast<index_t>(cell_begin.back()), [&](index_t cell) {
+    const auto c = static_cast<std::size_t>(cell);
+    const std::size_t g = static_cast<std::size_t>(
+        std::upper_bound(cell_begin.begin(), cell_begin.end(), c) -
+        cell_begin.begin() - 1);
+    const std::size_t num_trials = groups[g].trials.size();
+    const std::size_t r = (c - cell_begin[g]) / num_trials;
+    const std::size_t t = (c - cell_begin[g]) % num_trials;
+    BatchedGridResult& round = built.groups[g].replicates[r];
+    MetricResult result;
+    result.steps_without = base;
+    const SparseApproximateInverse precond(
+        std::move(round.preconditioners[t]), "mcmcmi");
+    score_solve(precond, method, result);
+    ys[g][t][r] = result.y;
+  });
+
   std::vector<real_t> medians(grid.size(), 0.0);
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    std::vector<std::vector<real_t>> ys(groups[g].trials.size());
-    for (index_t r = 0; r < replicates; ++r) {
-      BatchedGridResult& round =
-          built.groups[g].replicates[static_cast<std::size_t>(r)];
-      for (std::size_t t = 0; t < groups[g].trials.size(); ++t) {
-        MetricResult result;
-        result.steps_without = base;
-        result.build = round.info[t];
-        const SparseApproximateInverse precond(
-            std::move(round.preconditioners[t]), "mcmcmi");
-        score_solve(precond, method, result);
-        ys[t].push_back(result.y);
-      }
-    }
     for (std::size_t t = 0; t < groups[g].trials.size(); ++t) {
-      medians[static_cast<std::size_t>(groups[g].indices[t])] = median(ys[t]);
+      medians[static_cast<std::size_t>(groups[g].indices[t])] =
+          median(ys[g][t]);
     }
   }
   return medians;

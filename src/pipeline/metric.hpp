@@ -31,6 +31,12 @@ struct MetricResult {
 /// the walk kernel (with its alias tables) is cached per alpha — the grid /
 /// HPO loops probe many (eps, delta) trials per alpha, so only the sampling
 /// itself is redone per trial.
+///
+/// The batched probes (measure_grid_replicates*, measure_grouped_medians)
+/// solve their (trial, replicate) cells concurrently through parallel_for,
+/// each cell with its own P and its own output slot; every solve's kernels
+/// stay serial at these sizes, so the y's are bit-identical at any thread
+/// count.  A measurer is not itself thread-safe: call it from one thread.
 class PerformanceMeasurer {
  public:
   /// `solve_options` applies to both baseline and preconditioned runs;
@@ -103,8 +109,9 @@ class PerformanceMeasurer {
   [[nodiscard]] std::vector<u64> replicate_seeds(index_t replicates) const;
   /// Solve with `precond`, fill the step counts and the capped eq. (4)
   /// ratio of `result` (steps_without must be set).
+  /// Reads only immutable state, so concurrent cells may call it.
   void score_solve(const SparseApproximateInverse& precond,
-                   KrylovMethod method, MetricResult& result);
+                   KrylovMethod method, MetricResult& result) const;
 
   const CsrMatrix& a_;
   SolveOptions solve_options_;

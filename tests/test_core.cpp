@@ -7,6 +7,12 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/env.hpp"
 #include "core/parallel.hpp"
@@ -117,6 +123,35 @@ TEST(ParallelFor, VisitsEveryIndexOnce) {
   std::vector<int> hits(1000, 0);
   parallel_for(0, 1000, [&](index_t i) { hits[i]++; });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ParallelFor, RethrowsLowestIndexException) {
+  // Several bodies throw; whatever the schedule, the caller sees the one
+  // thrown at the lowest index, and every body below it has run.
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(4);
+#endif
+  for (int round = 0; round < 10; ++round) {
+    std::vector<int> hits(1000, 0);
+    std::string caught;
+    try {
+      parallel_for(0, 1000, [&](index_t i) {
+        hits[static_cast<std::size_t>(i)]++;
+        if (i == 611 || i == 37 || i == 998 || i == 40) {
+          throw std::runtime_error(std::to_string(i));
+        }
+      });
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    EXPECT_EQ(caught, "37") << "round " << round;
+    for (std::size_t i = 0; i <= 37; ++i) EXPECT_EQ(hits[i], 1) << i;
+    for (int h : hits) EXPECT_LE(h, 1);
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
 }
 
 TEST(TextTable, AlignsAndCounts) {

@@ -7,6 +7,7 @@
 
 #include "dense/matrix.hpp"
 #include "dense/svd.hpp"
+#include "features/matrix_features.hpp"
 #include "gen/adv_diff.hpp"
 #include "gen/climate.hpp"
 #include "gen/laplace.hpp"
@@ -16,6 +17,22 @@
 
 namespace mcmi {
 namespace {
+
+/// Closed-form condition number of laplace_2d(m).  The 5-point Laplacian on
+/// the (m-1)^2 interior mesh has eigenvalues
+/// 4 - 2cos(i pi/m) - 2cos(j pi/m), i, j = 1..m-1, so
+/// kappa = lambda_max / lambda_min = (1 + cos(pi/m)) / (1 - cos(pi/m)).
+real_t laplace_2d_kappa(index_t m) {
+  const real_t c = std::cos(M_PI / static_cast<real_t>(m));
+  return (1.0 + c) / (1.0 - c);
+}
+
+/// kappa from the sparse estimators alone (power iteration for sigma_max,
+/// inverse iteration for sigma_min): an exact threshold of 0 skips the
+/// dense SVD.
+real_t sparse_kappa(const CsrMatrix& a) {
+  return estimate_condition_number(a, /*exact_threshold=*/0);
+}
 
 TEST(Laplace2d, DimensionAndStencil) {
   const CsrMatrix a = laplace_2d(16);
@@ -29,13 +46,23 @@ TEST(Laplace2d, DimensionAndStencil) {
 
 TEST(Laplace2d, ConditionNumberLadder) {
   // Table 1: kappa ~ 1.0e2 at m=16, 4.1e2 at m=32 — the O(h^-2) ladder.
-  const real_t k16 =
-      condition_number_exact(DenseMatrix::from_csr(laplace_2d(16)));
-  const real_t k32 =
-      condition_number_exact(DenseMatrix::from_csr(laplace_2d(32)));
+  const real_t k16 = laplace_2d_kappa(16);
+  const real_t k32 = laplace_2d_kappa(32);
   EXPECT_NEAR(k16, 1.0e2, 0.3e2);
   EXPECT_NEAR(k32, 4.1e2, 1.0e2);
   EXPECT_NEAR(k32 / k16, 4.0, 0.5);  // doubling the mesh quadruples kappa
+  // The closed form against the dense SVD at m=16 (225 rows).
+  EXPECT_NEAR(condition_number_exact(DenseMatrix::from_csr(laplace_2d(16))),
+              k16, 1e-9 * k16);
+  // ... and against the sparse estimators at both sizes (961 rows at m=32).
+  // Both extreme estimates are Rayleigh-type bounds (sigma_max from below,
+  // sigma_min from above), so kappa is approached from below; 30 power
+  // steps leave the clustered top of the spectrum ~6% short at m=32.
+  for (const index_t m : {16, 32}) {
+    const real_t estimate = sparse_kappa(laplace_2d(m));
+    EXPECT_LE(estimate, laplace_2d_kappa(m) * (1.0 + 1e-6)) << "m=" << m;
+    EXPECT_GE(estimate, 0.9 * laplace_2d_kappa(m)) << "m=" << m;
+  }
 }
 
 TEST(Laplace2d, PositiveDefinite) {
@@ -115,8 +142,18 @@ TEST(Plasma, PaperShapes) {
 }
 
 TEST(Plasma, CoarseConditionBand) {
-  const real_t k =
-      condition_number_exact(DenseMatrix::from_csr(plasma_a00512()));
+  // The sparse estimators against the dense SVD on a 128-row member of the
+  // family (a00512's operator on a 16 x 8 mesh) ...
+  PlasmaOptions small;
+  small.nx = 16;
+  small.ny = 8;
+  small.radius = 2;
+  small.swirl = 24.0;
+  const CsrMatrix s = plasma_drift_diffusion(small);
+  const real_t exact = condition_number_exact(DenseMatrix::from_csr(s));
+  EXPECT_NEAR(sparse_kappa(s), exact, 1e-2 * exact);
+  // ... then on a00512 itself (512 rows).
+  const real_t k = sparse_kappa(plasma_a00512());
   EXPECT_GT(k, 50.0);   // Table 1: 1.9e3; same operator family, kappa grows
   EXPECT_LT(k, 5e4);    // with resolution (checked in features tests)
 }

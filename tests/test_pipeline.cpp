@@ -1,10 +1,17 @@
 // Tests for src/pipeline: the eq. (4) metric, dataset building shapes and
-// measurement bookkeeping.
+// measurement bookkeeping, and the thread-count invariance of the
+// concurrent label loops.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "core/cancellation.hpp"
+#include "core/error.hpp"
 #include "core/rng.hpp"
 #include "gen/matrix_set.hpp"
 #include "pipeline/dataset_builder.hpp"
@@ -19,6 +26,50 @@ SolveOptions quick_solve() {
   opt.restart = 250;
   opt.max_iterations = 1500;
   return opt;
+}
+
+/// Runs a scope at a fixed OpenMP thread count, restoring the previous
+/// count on exit (a no-op without OpenMP).
+class ThreadCount {
+ public:
+  explicit ThreadCount(int threads) {
+#ifdef _OPENMP
+    saved_ = omp_get_max_threads();
+    omp_set_num_threads(threads);
+#else
+    (void)threads;
+#endif
+  }
+  ~ThreadCount() {
+#ifdef _OPENMP
+    omp_set_num_threads(saved_);
+#endif
+  }
+  ThreadCount(const ThreadCount&) = delete;
+  ThreadCount& operator=(const ThreadCount&) = delete;
+
+ private:
+  int saved_ = 1;
+};
+
+/// Replicated y's of every divergence probe of build_dataset on `matrix`
+/// (registered as `matrix_id`), in dataset order: probe-major,
+/// GMRES-then-BiCGStab.
+std::vector<std::vector<real_t>> divergence_ys(const NamedMatrix& matrix,
+                                               index_t matrix_id,
+                                               const DatasetBuildOptions& opt) {
+  McmcOptions mcmc = opt.mcmc;
+  mcmc.seed = mix64(opt.seed ^ static_cast<u64>(matrix_id + 1));
+  PerformanceMeasurer measurer(matrix.matrix, opt.solve, mcmc);
+  std::vector<std::vector<real_t>> ys;
+  for (index_t d = 0; d < opt.divergence_samples; ++d) {
+    const McmcParams probe{0.01 + 0.01 * static_cast<real_t>(d), 0.5, 0.5};
+    for (KrylovMethod method :
+         {KrylovMethod::kGMRES, KrylovMethod::kBiCGStab}) {
+      ys.push_back(measurer.measure_replicates(probe, method, opt.replicates));
+    }
+  }
+  return ys;
 }
 
 TEST(Metric, RatioBelowOneOnPreconditionableMatrix) {
@@ -184,6 +235,54 @@ TEST(Metric, GroupedMediansMatchPerPointMedians) {
   }
 }
 
+TEST(Metric, GroupedMediansAreThreadCountInvariant) {
+  const NamedMatrix nm = make_matrix("PDD_RealSparse_N128");
+  const std::vector<McmcParams> grid = {{1.0, 0.5, 0.25},
+                                        {3.0, 0.25, 0.125},
+                                        {1.0, 0.125, 0.25},
+                                        {2.0, 0.5, 0.0625},
+                                        {2.0, 0.0625, 0.5}};
+  auto medians_at = [&](int threads) {
+    const ThreadCount scope(threads);
+    PerformanceMeasurer measurer(nm.matrix, quick_solve());
+    return measurer.measure_grouped_medians(grid, KrylovMethod::kGMRES, 3);
+  };
+  const std::vector<real_t> one = medians_at(1);
+  EXPECT_EQ(medians_at(4), one);
+}
+
+TEST(Metric, SolveErrorsPropagateFromConcurrentCells) {
+  // A solve that throws must reach the caller as mcmi::Error, never
+  // std::terminate.  restart = 0 makes every GMRES solve throw; here the
+  // baseline solve ahead of the concurrent loop throws first.
+  const NamedMatrix nm = make_matrix("PDD_RealSparse_N64");
+  const std::vector<GridTrial> trials = {{0.5, 0.5}, {0.25, 0.25}};
+  const ThreadCount four(4);
+  SolveOptions bad = quick_solve();
+  bad.restart = 0;
+  PerformanceMeasurer bad_solves(nm.matrix, bad);
+  EXPECT_THROW(bad_solves.measure_grid_replicates_methods(
+                   1.0, trials, {KrylovMethod::kGMRES}, 3),
+               Error);
+
+  // A pre-cancelled build token leaves every P empty (0 x 0).  The
+  // unpreconditioned baselines still succeed, so the throw comes from P's
+  // size check inside each concurrent cell's solve.
+  CancelToken cancelled;
+  cancelled.request_cancel();
+  McmcOptions abandoned;
+  abandoned.cancel = &cancelled;
+  PerformanceMeasurer empty_ps(nm.matrix, quick_solve(), abandoned);
+  EXPECT_THROW(empty_ps.measure_grid_replicates_methods(
+                   1.0, trials,
+                   {KrylovMethod::kGMRES, KrylovMethod::kBiCGStab}, 3),
+               Error);
+  EXPECT_THROW(empty_ps.measure_grouped_medians(
+                   {{1.0, 0.5, 0.5}, {2.0, 0.25, 0.25}}, KrylovMethod::kGMRES,
+                   3),
+               Error);
+}
+
 TEST(DatasetBuilder, SampleCountFormula) {
   // One SPD matrix: 64 grid x 2 solvers + 16 CG + 2 divergence x 2 solvers.
   DatasetBuildOptions opt;
@@ -196,6 +295,75 @@ TEST(DatasetBuilder, SampleCountFormula) {
   const std::vector<NamedMatrix> mats2 = {make_matrix("PDD_RealSparse_N64")};
   const SurrogateDataset ds2 = build_dataset(mats2, opt);
   EXPECT_EQ(ds2.size(), 64 * 2 + 4);
+
+  // The divergence labels close each matrix's block.  They ride the
+  // batched grid path, and must equal per-probe measure_replicates labels
+  // value for value, in the same probe-major, GMRES-then-BiCGStab order.
+  for (const SurrogateDataset* d : {&ds, &ds2}) {
+    const NamedMatrix& m = d == &ds ? mats[0] : mats2[0];
+    const std::vector<std::vector<real_t>> ys = divergence_ys(m, 0, opt);
+    ASSERT_EQ(ys.size(), 4u);
+    const std::size_t first = d->samples.size() - ys.size();
+    for (std::size_t k = 0; k < ys.size(); ++k) {
+      const LabeledSample& s = d->samples[first + k];
+      EXPECT_EQ(s.y_mean, mean(ys[k])) << m.name << " probe label " << k;
+      EXPECT_EQ(s.y_std, sample_std(ys[k])) << m.name << " probe label " << k;
+      EXPECT_DOUBLE_EQ(s.xm[k % 2 == 0 ? 4 : 5], 1.0);  // GMRES, BiCGStab
+    }
+  }
+}
+
+TEST(DatasetBuilder, RepeatedNameReusesMatrixId) {
+  // A corpus that names one matrix twice registers it once, and every
+  // label of the repeat — grid, CG and divergence blocks alike — carries
+  // the first entry's id and seed, so it repeats the first block exactly.
+  DatasetBuildOptions opt;
+  opt.replicates = 2;
+  opt.grid = {{1.0, 0.5, 0.5}};
+  opt.divergence_samples = 1;
+  const NamedMatrix a = make_matrix("2DFDLaplace_16");  // SPD: has CG labels
+  const NamedMatrix b = make_matrix("PDD_RealSparse_N64");
+  const SurrogateDataset ds = build_dataset({a, b, a}, opt);
+  EXPECT_EQ(ds.num_matrices(), 2);
+  const std::size_t a_block = 2 + 16 + 2;  // grid x 2, CG, divergence x 2
+  const std::size_t b_block = 2 + 2;
+  ASSERT_EQ(ds.samples.size(), 2 * a_block + b_block);
+  for (std::size_t k = 0; k < a_block; ++k) {
+    const LabeledSample& first = ds.samples[k];
+    const LabeledSample& repeat = ds.samples[a_block + b_block + k];
+    EXPECT_EQ(repeat.matrix_id, 0) << "label " << k;
+    EXPECT_EQ(repeat.xm, first.xm) << "label " << k;
+    EXPECT_EQ(repeat.y_mean, first.y_mean) << "label " << k;
+    EXPECT_EQ(repeat.y_std, first.y_std) << "label " << k;
+  }
+}
+
+TEST(DatasetBuilder, LabelsAreThreadCountInvariant) {
+  // The label loops solve concurrently; every label (and every matrix
+  // feature) must be bit-identical at 1 and 4 threads.
+  DatasetBuildOptions opt;
+  opt.replicates = 2;
+  const std::vector<NamedMatrix> mats = {make_matrix("2DFDLaplace_16"),
+                                         make_matrix("PDD_RealSparse_N64")};
+  SurrogateDataset serial, parallel;
+  {
+    const ThreadCount one(1);
+    serial = build_dataset(mats, opt);
+  }
+  {
+    const ThreadCount four(4);
+    parallel = build_dataset(mats, opt);
+  }
+  ASSERT_EQ(parallel.size(), serial.size());
+  EXPECT_EQ(parallel.features, serial.features);
+  for (std::size_t s = 0; s < serial.samples.size(); ++s) {
+    EXPECT_EQ(parallel.samples[s].matrix_id, serial.samples[s].matrix_id);
+    EXPECT_EQ(parallel.samples[s].xm, serial.samples[s].xm) << "sample " << s;
+    EXPECT_EQ(parallel.samples[s].y_mean, serial.samples[s].y_mean)
+        << "sample " << s;
+    EXPECT_EQ(parallel.samples[s].y_std, serial.samples[s].y_std)
+        << "sample " << s;
+  }
 }
 
 TEST(DatasetBuilder, SamplesCarryEncodedSolver) {
