@@ -72,9 +72,10 @@ int main() {
               "(%s)\n",
               static_cast<long long>(in_pre), r.inclusion.size(),
               static_cast<long long>(in_post), r.inclusion.size(),
-              in_post >= in_pre
+              in_post > in_pre
                   ? "BO round improves pointwise accuracy, as in the paper"
-                  : "no improvement at this scale");
+                  : in_post == in_pre ? "no change"
+                                      : "no improvement at this scale");
 
   // CSV mirror of the raw cells.
   TextTable csv({"alpha", "eps", "delta", "empirical_mean", "empirical_std",

@@ -725,13 +725,6 @@ EngineOutput run_interleaved_engine(const CsrMatrix& a,
   for (index_t rank = 0; rank < options.ranks; ++rank) {
     const index_t row_begin = partition.begin(rank);
     const index_t row_end = partition.end(rank);
-    // Shard-grouped row spans (sparse/sharded_plan.hpp): a span never
-    // crosses a shard boundary, so a sharded grid build walks shard-local
-    // work units; an empty options.shards yields plain 8-row spans — the
-    // legacy chunking.  Chains stay keyed by (seed, row, chain), so the
-    // assembled CSRs are bit-identical for any layout.
-    const std::vector<std::pair<index_t, index_t>> spans =
-        shard_row_spans(options.shards, row_begin, row_end, 8);
 #pragma omp parallel
     {
       const int tid = thread_id();
@@ -802,11 +795,8 @@ EngineOutput run_interleaved_engine(const CsrMatrix& a,
                     static_cast<std::size_t>(r) * static_cast<std::size_t>(n);
         lane.visited = &visited[static_cast<std::size_t>(r)];
       }
-      const index_t nspans = static_cast<index_t>(spans.size());
-#pragma omp for schedule(dynamic, 1)
-      for (index_t sp = 0; sp < nspans; ++sp)
-      for (index_t i = spans[static_cast<std::size_t>(sp)].first;
-           i < spans[static_cast<std::size_t>(sp)].second; ++i) {
+#pragma omp for schedule(dynamic, 8)
+      for (index_t i = row_begin; i < row_end; ++i) {
         if (aborted.load(std::memory_order_relaxed)) continue;
         if (options.cancel != nullptr && options.cancel->should_stop()) {
           aborted.store(true, std::memory_order_relaxed);
@@ -1066,13 +1056,6 @@ BatchedGridResult batched_grid_build(const CsrMatrix& a, real_t alpha,
   for (index_t rank = 0; rank < options.ranks; ++rank) {
     const index_t row_begin = partition.begin(rank);
     const index_t row_end = partition.end(rank);
-    // Shard-grouped row spans (sparse/sharded_plan.hpp): a span never
-    // crosses a shard boundary, so a sharded grid build walks shard-local
-    // work units; an empty options.shards yields plain 8-row spans — the
-    // legacy chunking.  Chains stay keyed by (seed, row, chain), so the
-    // assembled CSRs are bit-identical for any layout.
-    const std::vector<std::pair<index_t, index_t>> spans =
-        shard_row_spans(options.shards, row_begin, row_end, 8);
 #pragma omp parallel
     {
       const int tid = thread_id();
@@ -1111,11 +1094,8 @@ BatchedGridResult batched_grid_build(const CsrMatrix& a, real_t alpha,
         max_entries = std::max(max_entries, live_template[s].size());
       }
       std::vector<LiveGroup> live(max_entries);
-      const index_t nspans = static_cast<index_t>(spans.size());
-#pragma omp for schedule(dynamic, 1)
-      for (index_t sp = 0; sp < nspans; ++sp)
-      for (index_t i = spans[static_cast<std::size_t>(sp)].first;
-           i < spans[static_cast<std::size_t>(sp)].second; ++i) {
+#pragma omp for schedule(dynamic, 8)
+      for (index_t i = row_begin; i < row_end; ++i) {
         if (aborted.load(std::memory_order_relaxed)) continue;
         if (options.cancel != nullptr && options.cancel->should_stop()) {
           aborted.store(true, std::memory_order_relaxed);

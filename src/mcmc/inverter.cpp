@@ -146,14 +146,6 @@ CsrMatrix McmcInverter::compute() {
   for (index_t rank = 0; rank < options_.ranks; ++rank) {
     const index_t begin = partition.begin(rank);
     const index_t end = partition.end(rank);
-    // Shard-grouped row spans for this rank (empty options_.shards yields
-    // the whole rank range): rows of different shards never interleave
-    // inside one span, modelling per-device row ownership while the span
-    // granularity keeps the pool load-balanced.
-    const std::vector<std::pair<index_t, index_t>> spans =
-        options_.shards.empty()
-            ? std::vector<std::pair<index_t, index_t>>{}
-            : shard_row_spans(options_.shards, begin, end, 8);
 #pragma omp parallel
     {
       const int tid = thread_id();
@@ -163,11 +155,12 @@ CsrMatrix McmcInverter::compute() {
       RowEmitter emitter;
       long long local_transitions = 0;
       long long local_retired = 0;
-      const auto process_row = [&](index_t i) {
-        if (aborted.load(std::memory_order_relaxed)) return;
+#pragma omp for schedule(dynamic, 8)
+      for (index_t i = begin; i < end; ++i) {
+        if (aborted.load(std::memory_order_relaxed)) continue;
         if (options_.cancel != nullptr && options_.cancel->should_stop()) {
           aborted.store(true, std::memory_order_relaxed);
-          return;
+          continue;
         }
         touched.clear();
         for (index_t c = 0; c < chains; ++c) {
@@ -192,22 +185,6 @@ CsrMatrix McmcInverter::compute() {
         row_slices[i] = emitter.emit(arena, tid, accum.data(), touched, i,
                                      inv_chains, kernel.inv_diag, threshold,
                                      row_budget);
-      };
-      if (spans.empty()) {
-#pragma omp for schedule(dynamic, 8)
-        for (index_t i = begin; i < end; ++i) process_row(i);
-      } else {
-        // Sharded build: every (seed, row, chain) stream is unchanged, so
-        // the emitted rows — and the assembled P — are bit-identical to
-        // the legacy loop for any layout.
-        const index_t nspans = static_cast<index_t>(spans.size());
-#pragma omp for schedule(dynamic, 1)
-        for (index_t sp = 0; sp < nspans; ++sp) {
-          for (index_t i = spans[static_cast<std::size_t>(sp)].first;
-               i < spans[static_cast<std::size_t>(sp)].second; ++i) {
-            process_row(i);
-          }
-        }
       }
       transitions += local_transitions;
       retirements += local_retired;

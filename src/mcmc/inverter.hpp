@@ -42,13 +42,6 @@ struct McmcOptions {
   index_t ranks = 2;              ///< rank-like chain partition (paper: 2 MPI)
   u64 seed = 20250922;            ///< base RNG seed (arXiv date of the paper)
   SamplingMethod sampling = SamplingMethod::kAlias;  ///< successor sampler
-  /// Optional row-shard layout (sparse/sharded_plan.hpp): when set, the
-  /// walk ensemble iterates shard-grouped row spans inside each rank's
-  /// parallel region — the thread-pool stand-in for per-device row
-  /// ownership.  Chains stay keyed by (seed, row, chain), so the built
-  /// preconditioner is bit-identical to the unsharded build for any
-  /// layout; empty = legacy row loop.
-  ShardLayout shards{};
   /// Cooperative cancellation / deadline, polled once per row; not owned.
   /// A build that stops early discards all partial artifacts and reports
   /// the reason in McmcBuildInfo::status.

@@ -51,15 +51,6 @@ class SparseApproximateInverse final : public Preconditioner {
   /// The explicit approximate inverse (inspection / spectra in tests).
   [[nodiscard]] const CsrMatrix& matrix() const { return p_; }
 
-  /// Route P's own products through `backend` (see
-  /// CsrMatrix::set_plan_backend): the sharded serving path sets this once
-  /// at swap-in so warm solves shard the preconditioner apply alongside
-  /// the operator.  Const for the same reason the CsrMatrix call is —
-  /// execution policy, not content.
-  void set_plan_backend(PlanBackend backend, ShardLayout layout = {}) const {
-    p_.set_plan_backend(backend, std::move(layout));
-  }
-
  private:
   CsrMatrix p_;
   std::string name_;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/error.hpp"
-#include "core/hash.hpp"
 #include "solve/fault_injection.hpp"
 
 namespace mcmi::serve {
@@ -26,31 +25,6 @@ ArtifactEntry::ArtifactEntry(u64 fingerprint,
       matrix_(std::move(matrix)),
       kernels_(std::make_shared<WalkKernelCache>()) {
   MCMI_CHECK(matrix_ != nullptr, "artifact entry needs a matrix");
-}
-
-std::shared_ptr<const CsrMatrix> ArtifactEntry::matrix_for(
-    PlanBackend backend, const ShardLayout& layout) {
-  if (backend == PlanBackend::kSingle && layout.empty()) return matrix_;
-  Hash64 key_hash(0x706c6b79ULL);  // "plky"
-  key_hash.update(static_cast<u64>(backend));
-  key_hash.update(layout.fingerprint());
-  const u64 key = key_hash.digest();
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = bound_matrices_.find(key);
-  if (it != bound_matrices_.end()) return it->second;
-  // Built under the entry mutex: bounded O(nnz) work, and holding the lock
-  // is exactly what coalesces concurrent requests for one layout onto a
-  // single build.
-  auto bound = std::make_shared<CsrMatrix>(*matrix_);
-  bound->set_plan_backend(backend, layout);
-  ++plan_builds_;
-  bound_matrices_.emplace(key, bound);
-  return bound;
-}
-
-u64 ArtifactEntry::plan_builds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return plan_builds_;
 }
 
 std::shared_ptr<const SparseApproximateInverse> ArtifactEntry::tuned() const {

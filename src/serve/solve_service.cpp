@@ -287,16 +287,7 @@ void SolveService::run_job(const std::shared_ptr<JobState>& job) {
     };
   }
 
-  // The operator the solve runs against: the pinned matrix, or — under a
-  // configured shard count — the entry's cached copy bound to the sharded
-  // backend (keyed by (fingerprint, shard_layout), built once per layout).
-  std::shared_ptr<const CsrMatrix> matrix = job->entry->matrix();
-  if (options_.solve_shards > 0) {
-    matrix = job->entry->matrix_for(
-        PlanBackend::kShardedThreads,
-        ShardLayout::nnz_balanced(options_.solve_shards, matrix->row_ptr()));
-  }
-  SolveOrchestrator orchestrator(*matrix);
+  SolveOrchestrator orchestrator(*job->entry->matrix());
   orchestrator.set_kernel_cache(job->entry->kernels().get());
   job->result.x.assign(job->rhs.size(), 0.0);
   job->result.report = orchestrator.solve(job->rhs, job->result.x, sreq);
@@ -453,17 +444,9 @@ void SolveService::run_build(const BuildJob& build) {
   }
 
   if (status == BuildStatus::kBuilt) {
-    auto tuned =
-        std::make_shared<SparseApproximateInverse>(std::move(pm), "mcmc");
-    if (options_.solve_shards > 0) {
-      // Bind the tuned P to the serving backend once, here, instead of per
-      // request: the SPAI is shared by every warm solve from now on.
-      tuned->set_plan_backend(PlanBackend::kShardedThreads,
-                              ShardLayout::nnz_balanced(
-                                  options_.solve_shards,
-                                  tuned->matrix().row_ptr()));
-    }
-    store_.swap_in(build.entry, std::move(tuned), params);
+    store_.swap_in(build.entry, std::make_shared<SparseApproximateInverse>(
+                                    std::move(pm), "mcmc"),
+                   params);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.builds_completed;
     record_event_locked(ServiceEventType::kBuildCompleted,

@@ -7,7 +7,6 @@
 
 #include "core/error.hpp"
 #include "core/hash.hpp"
-#include "sparse/vector_ops.hpp"
 
 namespace mcmi {
 
@@ -18,8 +17,7 @@ CsrMatrix::CsrMatrix(const CsrMatrix& other)
       col_idx_(other.col_idx_),
       values_(other.values_),
       plan_(std::atomic_load(&other.plan_)),
-      tgather_(std::atomic_load(&other.tgather_)),
-      exec_(std::atomic_load(&other.exec_)) {}
+      tgather_(std::atomic_load(&other.tgather_)) {}
 
 CsrMatrix& CsrMatrix::operator=(const CsrMatrix& other) {
   if (this == &other) return *this;
@@ -30,7 +28,6 @@ CsrMatrix& CsrMatrix::operator=(const CsrMatrix& other) {
   values_ = other.values_;
   std::atomic_store(&plan_, std::atomic_load(&other.plan_));
   std::atomic_store(&tgather_, std::atomic_load(&other.tgather_));
-  std::atomic_store(&exec_, std::atomic_load(&other.exec_));
   return *this;
 }
 
@@ -140,35 +137,11 @@ const SpmvPlan& CsrMatrix::spmv_plan() const {
   return *p;
 }
 
-void CsrMatrix::set_plan_backend(PlanBackend backend,
-                                 ShardLayout layout) const {
-  if (backend == PlanBackend::kSingle && layout.empty()) {
-    // Back to the default path: the lazily cached single plan serves every
-    // product again (no execution object in the way).
-    std::atomic_store(&exec_, std::shared_ptr<const PlanExecution>());
-    return;
-  }
-  std::shared_ptr<const PlanExecution> built =
-      PlanBackendRegistry::instance().create(backend, rows_, cols_, row_ptr_,
-                                             col_idx_, layout);
-  std::atomic_store(&exec_, std::move(built));
-}
-
-PlanBackend CsrMatrix::plan_backend() const {
-  const std::shared_ptr<const PlanExecution> exec = std::atomic_load(&exec_);
-  return exec ? exec->backend() : PlanBackend::kSingle;
-}
-
 void CsrMatrix::multiply(const std::vector<real_t>& x,
                          std::vector<real_t>& y) const {
   MCMI_CHECK(static_cast<index_t>(x.size()) == cols_,
              "x size " << x.size() << " != cols " << cols_);
   y.resize(static_cast<std::size_t>(rows_));  // every y[i] is written
-  if (const auto exec = std::atomic_load(&exec_)) {
-    exec->multiply(row_ptr_.data(), col_idx_.data(), values_.data(), x.data(),
-                   y.data());
-    return;
-  }
   spmv_plan().multiply(row_ptr_.data(), col_idx_.data(), values_.data(),
                        x.data(), y.data());
 }
@@ -192,10 +165,6 @@ real_t CsrMatrix::multiply_dot(const std::vector<real_t>& x,
   MCMI_CHECK(static_cast<index_t>(w.size()) == rows_,
              "w size " << w.size() << " != rows " << rows_);
   y.resize(static_cast<std::size_t>(rows_));
-  if (const auto exec = std::atomic_load(&exec_)) {
-    return exec->multiply_dot(row_ptr_.data(), col_idx_.data(),
-                              values_.data(), x.data(), w.data(), y.data());
-  }
   return spmv_plan().multiply_dot(row_ptr_.data(), col_idx_.data(),
                                   values_.data(), x.data(), w.data(),
                                   y.data());
@@ -210,12 +179,6 @@ void CsrMatrix::multiply_dot_norm2(const std::vector<real_t>& x,
   MCMI_CHECK(static_cast<index_t>(w.size()) == rows_,
              "w size " << w.size() << " != rows " << rows_);
   y.resize(static_cast<std::size_t>(rows_));
-  if (const auto exec = std::atomic_load(&exec_)) {
-    exec->multiply_dot_norm2(row_ptr_.data(), col_idx_.data(),
-                             values_.data(), x.data(), w.data(), y.data(),
-                             dot_wy, norm_sq_y);
-    return;
-  }
   spmv_plan().multiply_dot_norm2(row_ptr_.data(), col_idx_.data(),
                                  values_.data(), x.data(), w.data(), y.data(),
                                  dot_wy, norm_sq_y);
@@ -230,15 +193,6 @@ void CsrMatrix::multiply_dot_norm2_xpby(const std::vector<real_t>& x,
                                         real_t& norm_sq_z) const {
   MCMI_CHECK(static_cast<index_t>(q.size()) == rows_,
              "q size " << q.size() << " != rows " << rows_);
-  if (std::atomic_load(&exec_)) {
-    // Backend executions expose only the product entries; compose the
-    // recurrence from them.  Bit-identical to the fused path: the update
-    // expression is elementwise and the reduction rides the backend's own
-    // fixed-order tree.
-    multiply_dot_norm2(x, z, w, dot_wz, norm_sq_z);
-    xpby(z, dot_wz / rho_prev, q);
-    return;
-  }
   MCMI_CHECK(static_cast<index_t>(x.size()) == cols_,
              "x size " << x.size() << " != cols " << cols_);
   MCMI_CHECK(static_cast<index_t>(w.size()) == rows_,
@@ -258,14 +212,6 @@ real_t CsrMatrix::multiply_dot_axpy2(const std::vector<real_t>& q, real_t rho,
              "x size " << x.size() << " != rows " << rows_);
   MCMI_CHECK(static_cast<index_t>(r.size()) == rows_,
              "r size " << r.size() << " != rows " << rows_);
-  if (std::atomic_load(&exec_)) {
-    std::vector<real_t>& yv = aq;
-    const real_t qaq = multiply_dot(q, yv);
-    if (std::isfinite(qaq) && qaq > 0.0) {
-      axpy2(rho / qaq, q, yv, x, r);
-    }
-    return qaq;
-  }
   MCMI_CHECK(static_cast<index_t>(q.size()) == cols_,
              "q size " << q.size() << " != cols " << cols_);
   aq.resize(static_cast<std::size_t>(rows_));

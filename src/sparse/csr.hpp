@@ -15,7 +15,6 @@
 
 #include "core/types.hpp"
 #include "sparse/coo.hpp"
-#include "sparse/sharded_plan.hpp"
 #include "sparse/spmv_plan.hpp"
 
 namespace mcmi {
@@ -102,9 +101,8 @@ class CsrMatrix {
                           real_t& norm_sq_y) const;
 
   /// Fused preconditioned-CG tail: z = A * x with <w, z> / ||z||^2, then
-  /// q = z + (<w, z> / rho_prev) * q — one parallel region on the default
-  /// plan path, composed product + xpby under a backend execution.  Either
-  /// way bit-identical to multiply_dot_norm2 followed by vector_ops xpby.
+  /// q = z + (<w, z> / rho_prev) * q in one parallel region; bit-identical
+  /// to multiply_dot_norm2 followed by vector_ops xpby.
   void multiply_dot_norm2_xpby(const std::vector<real_t>& x,
                                std::vector<real_t>& z,
                                const std::vector<real_t>& w, real_t rho_prev,
@@ -124,26 +122,6 @@ class CsrMatrix {
   /// The cached execution plan (shape-derived, built on first use and then
   /// shared by every product for the life of the matrix).
   [[nodiscard]] const SpmvPlan& spmv_plan() const;
-
-  /// Select the execution backend for every subsequent product.  The
-  /// execution is built *eagerly* through the PlanBackendRegistry and
-  /// published atomically, so no consumer can observe a stale
-  /// single-backend plan after the switch (the lazily cached spmv_plan()
-  /// is keyed only by content and knows nothing about backends).
-  /// kSingle reverts to the default cached-plan path; other backends
-  /// require the registry slot to be claimed (kAccelerator aborts until a
-  /// device backend registers).  Const: this is execution *policy*, not
-  /// matrix content — same contract as the lazy plan caches, and copies
-  /// taken after the call inherit the backend.
-  void set_plan_backend(PlanBackend backend, ShardLayout layout = {}) const;
-
-  /// The backend products currently dispatch to (kSingle when none set).
-  [[nodiscard]] PlanBackend plan_backend() const;
-
-  /// The bound execution, or null on the default single-plan path.
-  [[nodiscard]] std::shared_ptr<const PlanExecution> plan_execution() const {
-    return std::atomic_load(&exec_);
-  }
 
   /// y = A^T * x via a lazily cached column-major gather plan
   /// (OpenMP-parallel over columns, bit-deterministic at any thread count).
@@ -233,11 +211,6 @@ class CsrMatrix {
   /// once published a cache is never replaced.
   mutable std::shared_ptr<const SpmvPlan> plan_;
   mutable std::shared_ptr<const TransposeGather> tgather_;
-  /// Selected execution backend (null = default single-plan path).  Unlike
-  /// the caches above this *is* replaced — set_plan_backend publishes a
-  /// freshly built execution atomically — so products always pair a
-  /// backend with the layout it was built for, never a stale mix.
-  mutable std::shared_ptr<const PlanExecution> exec_;
 };
 
 }  // namespace mcmi

@@ -337,8 +337,10 @@ void run_gather(const std::vector<index_t>& chunk_rows, const index_t* cp,
 
 }  // namespace
 
-std::vector<index_t> SpmvPlan::chunk_boundaries(
-    index_t rows, const std::vector<index_t>& row_ptr) {
+SpmvPlan SpmvPlan::build(index_t rows, index_t cols,
+                         const std::vector<index_t>& row_ptr,
+                         const std::vector<index_t>& col_idx) {
+  SpmvPlan plan;
   if (rows < 0) rows = 0;
   const index_t nnz =
       row_ptr.empty() ? 0 : row_ptr[static_cast<std::size_t>(rows)];
@@ -350,9 +352,9 @@ std::vector<index_t> SpmvPlan::chunk_boundaries(
   index_t chunks = std::min<index_t>(
       std::max<index_t>(rows, 1), (nnz + kChunkNnz - 1) / kChunkNnz);
   if (chunks < 1) chunks = 1;
-  std::vector<index_t> chunk_rows(static_cast<std::size_t>(chunks) + 1);
-  chunk_rows.front() = 0;
-  chunk_rows.back() = rows;
+  plan.chunk_rows_.resize(static_cast<std::size_t>(chunks) + 1);
+  plan.chunk_rows_.front() = 0;
+  plan.chunk_rows_.back() = rows;
   for (index_t c = 1; c < chunks; ++c) {
     const index_t target = nnz * c / chunks;
     index_t r = static_cast<index_t>(
@@ -360,19 +362,9 @@ std::vector<index_t> SpmvPlan::chunk_boundaries(
                          row_ptr.begin() + static_cast<std::ptrdiff_t>(rows),
                          target) -
         row_ptr.begin());
-    r = std::max(r, chunk_rows[static_cast<std::size_t>(c) - 1]);
-    chunk_rows[static_cast<std::size_t>(c)] = std::min(r, rows);
+    r = std::max(r, plan.chunk_rows_[static_cast<std::size_t>(c) - 1]);
+    plan.chunk_rows_[static_cast<std::size_t>(c)] = std::min(r, rows);
   }
-  return chunk_rows;
-}
-
-SpmvPlan SpmvPlan::build(index_t rows, index_t cols,
-                         const std::vector<index_t>& row_ptr,
-                         const std::vector<index_t>& col_idx) {
-  SpmvPlan plan;
-  if (rows < 0) rows = 0;
-  plan.chunk_rows_ = chunk_boundaries(rows, row_ptr);
-  const index_t chunks = static_cast<index_t>(plan.chunk_rows_.size()) - 1;
 
   // Uniform short-width detection per chunk for the unrolled kernels.
   plan.chunk_width_.assign(static_cast<std::size_t>(chunks), 0);
@@ -395,19 +387,6 @@ SpmvPlan SpmvPlan::build(index_t rows, index_t cols,
     plan.col32_.assign(col_idx.begin(), col_idx.end());
   }
   return plan;
-}
-
-void SpmvPlan::multiply_chunk(index_t c, const index_t* row_ptr,
-                              const index_t* col_idx, const real_t* values,
-                              const real_t* x, real_t* y) const {
-  const index_t b = chunk_rows_[static_cast<std::size_t>(c)];
-  const index_t e = chunk_rows_[static_cast<std::size_t>(c) + 1];
-  const int width = chunk_width_[static_cast<std::size_t>(c)];
-  if (!col32_.empty()) {
-    chunk_multiply(b, e, width, row_ptr, col32_.data(), values, x, y);
-  } else {
-    chunk_multiply(b, e, width, row_ptr, col_idx, values, x, y);
-  }
 }
 
 void SpmvPlan::multiply(const index_t* row_ptr, const index_t* col_idx,

@@ -27,8 +27,7 @@
 ///
 /// The plan reads the CSR arrays it was built for on every call (values may
 /// change in place; the shape must not).  CsrMatrix owns one plan per
-/// matrix and the transpose gather plan reuses the same chunking machinery,
-/// so this is the layer a future sharded or multi-backend SpMV plugs into.
+/// matrix and the transpose gather plan reuses the same chunking machinery.
 
 #include <cstdint>
 #include <vector>
@@ -61,21 +60,6 @@ class SpmvPlan {
   [[nodiscard]] index_t chunk_begin(index_t c) const {
     return chunk_rows_[static_cast<std::size_t>(c)];
   }
-
-  /// The nnz-balanced chunk boundaries build() would compute for this
-  /// shape: boundary c is the first row whose prefix nonzero count reaches
-  /// c/chunks of the total.  A pure function of the shape — the sharded
-  /// execution layer uses the same grid for its fixed-order reductions, so
-  /// the two paths share one combination tree.
-  static std::vector<index_t> chunk_boundaries(
-      index_t rows, const std::vector<index_t>& row_ptr);
-
-  /// Run one chunk of the plan serially (no OpenMP): y over the chunk's
-  /// rows only.  The sharded backend flattens (shard, chunk) pairs into
-  /// its own parallel schedule and drives each chunk through this entry.
-  void multiply_chunk(index_t c, const index_t* row_ptr,
-                      const index_t* col_idx, const real_t* values,
-                      const real_t* x, real_t* y) const;
 
   /// y = A x.  Writes every y[i]; no zero-fill pass.
   void multiply(const index_t* row_ptr, const index_t* col_idx,

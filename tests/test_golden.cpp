@@ -5,7 +5,7 @@
 // sides at once still passes them; this table does not move with the code.
 //
 // Every row is checked at 1 and at 4 OpenMP threads against the same
-// stored digest.  A failure names the row and prints the digest it got.
+// stored digest (the served answer: see WarmServedAnswer).  A failure names the row and prints the digest it got.
 // An intended change of output bits replaces the row's value here and
 // names the row and the reason in CHANGES.md.
 //
@@ -213,6 +213,9 @@ TEST(Golden, KrylovSolutions) {
   });
 }
 
+// The service solves on its own worker threads, which run at the process's
+// default OpenMP thread count whatever the test thread sets; the loop still
+// builds and checks a fresh service per pass.
 TEST(Golden, WarmServedAnswer) {
   const CsrMatrix a = laplace_2d(8);
   Xoshiro256 rng = make_stream(7);

@@ -676,99 +676,5 @@ TEST(SolveService, EventLogRecordsTerminalOutcomes) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded serving: (fingerprint, shard_layout) keyed plans.
-
-TEST(ArtifactStore, MatrixForCoalescesAndKeysByLayout) {
-  ArtifactStore store;
-  const CsrMatrix a = laplace_2d(8);
-  auto entry = store.intern(a);
-  const ShardLayout layout_a = ShardLayout::nnz_balanced(2, a.row_ptr());
-  const ShardLayout layout_b = ShardLayout::nnz_balanced(4, a.row_ptr());
-
-  // K concurrent requests for one layout coalesce onto a single plan build.
-  std::vector<std::shared_ptr<const CsrMatrix>> got(8);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < got.size(); ++t) {
-    threads.emplace_back([&, t] {
-      got[t] = entry->matrix_for(PlanBackend::kShardedThreads, layout_a);
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (const auto& m : got) {
-    ASSERT_NE(m, nullptr);
-    EXPECT_EQ(m, got[0]);  // one shared bound matrix, not eight
-    EXPECT_EQ(m->plan_backend(), PlanBackend::kShardedThreads);
-  }
-  EXPECT_EQ(entry->plan_builds(), 1u);
-
-  // Repeat lookups under the same key never rebuild.
-  EXPECT_EQ(entry->matrix_for(PlanBackend::kShardedThreads, layout_a), got[0]);
-  EXPECT_EQ(entry->plan_builds(), 1u);
-
-  // A different layout is a different key: second build, different matrix.
-  const auto under_b = entry->matrix_for(PlanBackend::kShardedThreads, layout_b);
-  EXPECT_NE(under_b, got[0]);
-  EXPECT_EQ(entry->plan_builds(), 2u);
-
-  // The single-plan identity key is the pinned matrix itself, build-free.
-  EXPECT_EQ(entry->matrix_for(PlanBackend::kSingle, ShardLayout{}),
-            entry->matrix());
-  EXPECT_EQ(entry->plan_builds(), 2u);
-
-  // Every bound matrix produces the pinned matrix's bits.
-  const std::vector<real_t> x = random_rhs(a.cols(), 3);
-  EXPECT_EQ(got[0]->multiply(x), entry->matrix()->multiply(x));
-  EXPECT_EQ(under_b->multiply(x), entry->matrix()->multiply(x));
-}
-
-TEST(SolveService, ShardedBuildServesUnderOtherLayoutBitIdentically) {
-  const CsrMatrix a = laplace_2d(8);
-  const std::vector<real_t> b = random_rhs(a.rows(), 7);
-
-  // Reference: the unsharded service's cold and warm answers.
-  std::vector<real_t> x_cold_ref, x_warm_ref;
-  u64 p_ref_fingerprint = 0;
-  {
-    SolveService service(fast_service_options());
-    x_cold_ref = service.submit(a, b).wait().x;
-    service.drain();
-    ASSERT_EQ(service.stats().builds_completed, 1u);
-    auto entry = service.store().find(a);
-    ASSERT_NE(entry, nullptr);
-    p_ref_fingerprint = entry->tuned()->matrix().content_fingerprint();
-    ServeHandle warm = service.submit(a, b);
-    ASSERT_TRUE(warm.wait().warm);
-    x_warm_ref = warm.wait().x;
-  }
-
-  // Sharded service: the MCMC build runs under layout A (3 shards) while
-  // solves are served under layout B (2 shards).  Every answer and the
-  // tuned preconditioner must be bit-identical to the unsharded service.
-  ServiceOptions opts = fast_service_options();
-  opts.mcmc_options.shards = ShardLayout::nnz_balanced(3, a.row_ptr());
-  opts.solve_shards = 2;
-  SolveService service(opts);
-  const std::vector<real_t> x_cold = service.submit(a, b).wait().x;
-  service.drain();
-  ASSERT_EQ(service.stats().builds_completed, 1u);
-  EXPECT_EQ(x_cold, x_cold_ref);
-
-  auto entry = service.store().find(a);
-  ASSERT_NE(entry, nullptr);
-  ASSERT_EQ(entry->state(), BuildState::kTuned);
-  EXPECT_EQ(entry->tuned()->matrix().content_fingerprint(), p_ref_fingerprint);
-
-  ServeHandle warm = service.submit(a, b);
-  ASSERT_TRUE(warm.wait().warm);
-  EXPECT_EQ(warm.wait().x, x_warm_ref);
-
-  // The same warm artifact serves under yet another layout: rebinding the
-  // entry's matrix to 5 shards leaves the product bits unchanged.
-  const auto rebound = entry->matrix_for(
-      PlanBackend::kShardedThreads, ShardLayout::nnz_balanced(5, a.row_ptr()));
-  EXPECT_EQ(rebound->multiply(b), entry->matrix()->multiply(b));
-}
-
 }  // namespace
 }  // namespace mcmi::serve
