@@ -34,6 +34,7 @@
 #include "precond/preconditioner.hpp"
 #include "precond/sparse_precond.hpp"
 #include "serve/solve_service.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
 namespace mcmi {
@@ -70,6 +71,18 @@ constexpr GoldenRow kGolden[] = {
     {"bicgstab/mcmc/pdd_real_sparse(200)", 0xd3965c61ab7cc1bcULL},
     {"serve_warm/p/laplace_2d(8)", 0xc42e77e54b58a7ddULL},
     {"serve_warm/x/laplace_2d(8)", 0x7c5058beddc43de1ULL},
+    {"mcmc_compute/cdf/laplace_2d(24)", 0xe656cbd7a69fdd76ULL},
+    {"mcmc_compute/divergent(16)", 0xce986d762d399e69ULL},
+    {"batched_grid_build/grid6/laplace_2d(16)", 0x0d63380b19c96cf7ULL},
+    {"batched_grid_build/grid6/cdf/pdd_real_sparse(60)", 0x4b765da0d7aea664ULL},
+    {"replicate_batched_grid_build/3_lanes/grid6/laplace_2d(16)", 0x3ed801b5eb00ded8ULL},
+    {"replicate_batched_grid_build/4_lanes/grid6/laplace_2d(16)", 0x5b46f065cd40733bULL},
+    {"replicate_batched_grid_build/4_lanes/one_trial/pdd_real_sparse(60)", 0x3921f315f94861b6ULL},
+    {"replicate_batched_grid_build/4_lanes/cdf/divergent(16)", 0xe7f556a56895098cULL},
+    {"multi_alpha_grid_build/shared/pdd_real_sparse(60)", 0x4e4d16e9550d1b3eULL},
+    {"multi_alpha_grid_build/fallback/pdd_real_sparse(60)", 0xfe6168af9e094a71ULL},
+    {"multi_alpha_grid_build/cdf_shared/pdd_real_sparse(40)", 0x122809d571863c2cULL},
+    {"multi_alpha_grid_build/divergent(16)", 0xd217578bea0ad56aULL},
 };
 // clang-format on
 
@@ -172,6 +185,158 @@ TEST(Golden, McmcPreconditioners) {
       expect_golden("batched_grid_build/" + m.name,
                     grid.preconditioners[0].content_fingerprint());
     }
+  });
+}
+
+/// Folds one build into `h`: P's content digest and its walk accounting.
+void fold_build(Hash64& h, const CsrMatrix& p, const McmcBuildInfo& info) {
+  h.update(p.content_fingerprint());
+  h.update(static_cast<u64>(info.total_transitions));
+  h.update(static_cast<u64>(info.divergence_retirements));
+}
+
+u64 digest(const BatchedGridResult& r) {
+  Hash64 h;
+  for (std::size_t t = 0; t < r.preconditioners.size(); ++t) {
+    fold_build(h, r.preconditioners[t], r.info[t]);
+  }
+  return h.digest();
+}
+
+u64 digest(const ReplicatedGridResult& r) {
+  Hash64 h;
+  for (const BatchedGridResult& rep : r.replicates) h.update(digest(rep));
+  return h.digest();
+}
+
+u64 digest(const MultiAlphaGridResult& r) {
+  Hash64 h;
+  h.update(r.shared_successors ? 1 : 0);
+  for (const ReplicatedGridResult& g : r.groups) h.update(digest(g));
+  return h.digest();
+}
+
+/// Total divergence-guard retirements over every build of a result.
+long long retirements(const ReplicatedGridResult& r) {
+  long long sum = 0;
+  for (const BatchedGridResult& rep : r.replicates) {
+    for (const McmcBuildInfo& info : rep.info) {
+      sum += info.divergence_retirements;
+    }
+  }
+  return sum;
+}
+
+long long retirements(const MultiAlphaGridResult& r) {
+  long long sum = 0;
+  for (const ReplicatedGridResult& g : r.groups) sum += retirements(g);
+  return sum;
+}
+
+/// Row sums of |B| are 4 at alpha 0 (walks cross the divergence guard near
+/// step 50, inside a cap of 64) and 2 at alpha 1; the two kernels share
+/// successor draws on both samplers.
+CsrMatrix divergent_matrix() {
+  CooMatrix coo(16, 16);
+  for (index_t i = 0; i < 16; ++i) {
+    coo.add(i, i, 1.0);
+    coo.add(i, (i + 1) % 16, 1.0);
+    coo.add(i, (i + 3) % 16, -1.0);
+    coo.add(i, (i + 5) % 16, 1.0);
+    coo.add(i, (i + 7) % 16, -1.0);
+  }
+  return CsrMatrix::from_coo(std::move(coo));
+}
+
+/// Chain counts 2..117 in three delta groups with loose and tight
+/// truncation: the segment schedule and its snapshot copies.
+const std::vector<GridTrial> kGrid6 = {{0.5, 0.5},      {0.5, 0.0625},
+                                       {0.25, 0.125},   {0.125, 0.0625},
+                                       {0.0625, 0.5},   {0.0625, 0.03125}};
+
+// Each row folds P's digest with total_transitions and
+// divergence_retirements of every build it makes.  Lane counts 3 and 4
+// cover the replicate counts the tuner uses and the widths the walk loop
+// has been specialised for.
+TEST(Golden, McmcBuildPaths) {
+  const CsrMatrix lap = laplace_2d(16);
+  const CsrMatrix lap24 = laplace_2d(24);
+  const CsrMatrix pdd60 = pdd_real_sparse(60, 0.12, 77);
+  const CsrMatrix pdd40 = pdd_real_sparse(40, 0.15, 51);
+  const CsrMatrix div = divergent_matrix();
+  McmcOptions cdf;
+  cdf.sampling = SamplingMethod::kInverseCdf;
+  McmcOptions capped;
+  capped.walk_cap = 64;
+  McmcOptions capped_cdf = capped;
+  capped_cdf.sampling = SamplingMethod::kInverseCdf;
+
+  at_thread_counts([&] {
+    {
+      McmcInverter inv(lap24, kParams, cdf);
+      const CsrMatrix p = inv.compute();
+      Hash64 h;
+      fold_build(h, p, inv.info());
+      expect_golden("mcmc_compute/cdf/laplace_2d(24)", h.digest());
+    }
+    {
+      McmcInverter inv(div, {0.0, 0.25, 0.125}, capped);
+      const CsrMatrix p = inv.compute();
+      EXPECT_GT(inv.info().divergence_retirements, 0);
+      Hash64 h;
+      fold_build(h, p, inv.info());
+      expect_golden("mcmc_compute/divergent(16)", h.digest());
+    }
+    expect_golden("batched_grid_build/grid6/laplace_2d(16)",
+                  digest(batched_grid_build(lap, 1.0, kGrid6)));
+    expect_golden("batched_grid_build/grid6/cdf/pdd_real_sparse(60)",
+                  digest(batched_grid_build(pdd60, 0.5, kGrid6, cdf)));
+    expect_golden(
+        "replicate_batched_grid_build/3_lanes/grid6/laplace_2d(16)",
+        digest(replicate_batched_grid_build(lap, 1.0, kGrid6, {1, 2, 3})));
+    expect_golden(
+        "replicate_batched_grid_build/4_lanes/grid6/laplace_2d(16)",
+        digest(replicate_batched_grid_build(lap, 1.0, kGrid6, {1, 2, 3, 4})));
+    expect_golden(
+        "replicate_batched_grid_build/4_lanes/one_trial/pdd_real_sparse(60)",
+        digest(replicate_batched_grid_build(pdd60, 1.0, {{0.125, 0.0625}},
+                                            {5, 6, 7, 8})));
+    const ReplicatedGridResult div_lanes = replicate_batched_grid_build(
+        div, 0.0, {{0.25, 0.125}}, {11, 12, 13, 14}, capped_cdf);
+    EXPECT_GT(retirements(div_lanes), 0);
+    expect_golden("replicate_batched_grid_build/4_lanes/cdf/divergent(16)",
+                  digest(div_lanes));
+
+    const MultiAlphaGridResult shared = multi_alpha_grid_build(
+        pdd60,
+        {{1.0, {}, {{0.5, 0.5}, {0.25, 0.125}}},
+         {3.0, {}, {{0.25, 0.125}, {0.125, 0.0625}}}},
+        {7, 8, 9});
+    EXPECT_TRUE(shared.shared_successors);
+    expect_golden("multi_alpha_grid_build/shared/pdd_real_sparse(60)",
+                  digest(shared));
+    const MultiAlphaGridResult fallback = multi_alpha_grid_build(
+        pdd60, {{1.0, {}, {{0.25, 0.125}}}, {2.0, {}, {{0.25, 0.125}}}},
+        {7, 8, 9});
+    EXPECT_FALSE(fallback.shared_successors);
+    expect_golden("multi_alpha_grid_build/fallback/pdd_real_sparse(60)",
+                  digest(fallback));
+    const MultiAlphaGridResult cdf_shared = multi_alpha_grid_build(
+        pdd40,
+        {{1.0, {}, {{0.5, 0.25}, {0.25, 0.125}}},
+         {3.0, {}, {{0.5, 0.25}, {0.125, 0.0625}}}},
+        {9, 10, 11}, cdf);
+    EXPECT_TRUE(cdf_shared.shared_successors);
+    expect_golden("multi_alpha_grid_build/cdf_shared/pdd_real_sparse(40)",
+                  digest(cdf_shared));
+    const MultiAlphaGridResult divergent = multi_alpha_grid_build(
+        div,
+        {{0.0, {}, {{0.25, 0.125}, {0.5, 0.5}}},
+         {1.0, {}, {{0.25, 0.125}, {0.5, 0.5}}}},
+        {21, 22, 23}, capped);
+    EXPECT_TRUE(divergent.shared_successors);
+    EXPECT_GT(retirements(divergent), 0);
+    expect_golden("multi_alpha_grid_build/divergent(16)", digest(divergent));
   });
 }
 
