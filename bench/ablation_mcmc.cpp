@@ -4,9 +4,7 @@
 //   (b) walk cutoff (delta) vs estimator error — the truncation bias;
 //   (c) filling-factor cap vs preconditioner quality;
 //   (d) classic (eps, delta) sampler vs the regenerative single-budget
-//       variant at matched transition cost (the paper's cited extension);
-//   (e) rank-partition invariance: 1 vs 2 vs 4 rank-like blocks must give
-//       bit-identical preconditioners (the MPI-substitution argument).
+//       variant at matched transition cost (the paper's cited extension).
 
 #include <cmath>
 #include <cstdio>
@@ -149,24 +147,5 @@ int main() {
     t.print(std::cout);
   }
 
-  // (e) rank-partition determinism.
-  {
-    TextTable t({"ranks", "identical to 1-rank result"});
-    McmcOptions base_opt;
-    base_opt.ranks = 1;
-    const CsrMatrix reference =
-        McmcInverter(a, {1.0, 0.25, 0.125}, base_opt).compute();
-    for (index_t ranks : {2, 4}) {
-      McmcOptions opt;
-      opt.ranks = ranks;
-      const CsrMatrix p = McmcInverter(a, {1.0, 0.25, 0.125}, opt).compute();
-      const bool same = p.values() == reference.values() &&
-                        p.col_idx() == reference.col_idx();
-      t.add_row({TextTable::fmt(ranks), same ? "yes" : "NO"});
-    }
-    std::printf("\n-- (e) rank-like chain partition (MPI substitution) is "
-                "result-invariant --\n");
-    t.print(std::cout);
-  }
   return 0;
 }

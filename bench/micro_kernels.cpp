@@ -442,75 +442,6 @@ void BM_ReplicateBatchedGridBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplicateBatchedGridBuild)->Unit(benchmark::kMillisecond);
 
-// ---- SIMD lane tier: compile-time lane specialisation A/B -------------------
-// Eight replicate seeds put the interleaved ensemble exactly on the W = 8
-// specialised lockstep engine; force_dynamic_lanes opts the B side back
-// onto the dynamic-lane-count path.  The workload is the over-budget
-// lattice regime the lane tier targets: a 2-D Laplace walk reaches O(L^2)
-// states against a fixed visit budget, and the tight eps (1/16) drives
-// chains_for_eps to ~117 chains per row, so nearly all time is the
-// per-transition tail — RNG draw, alias lookup, weight update, stop rule —
-// not emission.  With a single (delta, eps) trial per ensemble the live
-// template is one unit wide, which dispatches the register-resident
-// single-unit engine: the stop rule's delta/cutoff and the accumulator
-// pointers hoist out of the transition loop, the walk state (RNG words,
-// position, weight, step count) lives in registers instead of
-// memory-resident `Lane` structs, and draws/alias lookups batch across the
-// W lanes.  The two builds are bit-identical by the conformance suite, so
-// items/s (serial-equivalent transitions/s) match by construction and the
-// gated ratio isolates the lane tier itself.
-
-const CsrMatrix& lane_bench_matrix() {
-  static const CsrMatrix a = laplace_2d(64);
-  return a;
-}
-
-const std::vector<u64>& lane_bench_seeds() {
-  static const std::vector<u64> seeds = [] {
-    std::vector<u64> s;
-    for (u64 i = 1; i <= 8; ++i) {
-      s.push_back(mix64(20250922 + 0x9e3779b9 * i));
-    }
-    return s;
-  }();
-  return seeds;
-}
-
-const std::vector<GridTrial>& lane_bench_trials() {
-  static const std::vector<GridTrial> trials = {{0.0625, 0.0625}};
-  return trials;
-}
-
-void lane_bench_run(benchmark::State& state, bool force_dynamic) {
-  const CsrMatrix& a = lane_bench_matrix();
-  WalkKernelCache cache;
-  McmcOptions opt;
-  opt.force_dynamic_lanes = force_dynamic;
-  long long transitions = 0;
-  for (auto _ : state) {
-    const ReplicatedGridResult r = replicate_batched_grid_build(
-        a, kGridBenchAlpha, lane_bench_trials(), lane_bench_seeds(), opt,
-        &cache);
-    benchmark::DoNotOptimize(r.replicates.data());
-    for (const BatchedGridResult& rep : r.replicates) {
-      for (const McmcBuildInfo& info : rep.info) {
-        transitions += info.total_transitions;
-      }
-    }
-  }
-  state.SetItemsProcessed(transitions);
-}
-
-void BM_LaneSpecGridBuild(benchmark::State& state) {
-  lane_bench_run(state, /*force_dynamic=*/false);
-}
-BENCHMARK(BM_LaneSpecGridBuild)->Unit(benchmark::kMillisecond);
-
-void BM_DynamicLaneGridBuild(benchmark::State& state) {
-  lane_bench_run(state, /*force_dynamic=*/true);
-}
-BENCHMARK(BM_DynamicLaneGridBuild)->Unit(benchmark::kMillisecond);
-
 // ---- multi-alpha grid builds: shared successor draws across alphas ----------
 // The hpo::tune_mcmc_params shape: one 4-trial (eps, delta) batch evaluated
 // at two alphas whose perturbed diagonals differ by a power of two, so both

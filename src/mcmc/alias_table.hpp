@@ -41,36 +41,6 @@ class AliasTable {
     return frac < prob_[slot] ? slot : alias_[slot];
   }
 
-  /// Sample W slots at once, lane l drawing from row range
-  /// [begin[l], end[l]) with the 64-bit word bits[l] — per lane the exact
-  /// arithmetic of `sample()`, so each lane's result is bitwise what a
-  /// scalar call would return.  The W table loads are issued together from
-  /// one tight loop, letting their (mutually independent) latencies overlap
-  /// instead of serialising behind each chain's pointer chase — the batched
-  /// lookup tier of the lockstep walk engine.  An empty range (an absorbing
-  /// row: a retired lane's stale position) yields 0 without touching the
-  /// tables; callers must ignore such lanes' outputs.
-  template <int W>
-  void sample_batch(const index_t* begin, const index_t* end, const u64* bits,
-                    index_t* out) const {
-    const real_t* prob = prob_.data();
-    const index_t* alias = alias_.data();
-    for (int l = 0; l < W; ++l) {
-      const index_t width = end[l] - begin[l];
-      if (width <= 0) {
-        out[l] = 0;
-        continue;
-      }
-      const real_t u = static_cast<real_t>(bits[l] >> 11) * 0x1.0p-53 *
-                       static_cast<real_t>(width);
-      index_t k = static_cast<index_t>(u);
-      if (k >= width) k = width - 1;  // FP rounding guard at the top edge
-      const index_t slot = begin[l] + k;
-      const real_t frac = u - static_cast<real_t>(k);
-      out[l] = frac < prob[slot] ? slot : alias[slot];
-    }
-  }
-
   [[nodiscard]] const std::vector<real_t>& prob() const { return prob_; }
   [[nodiscard]] const std::vector<index_t>& alias() const { return alias_; }
   [[nodiscard]] bool empty() const { return prob_.empty(); }

@@ -4,6 +4,10 @@
 /// (eps, delta) trial at a fixed alpha, every replicate of the trial grid,
 /// and — when the kernel allows — every alpha of a multi-alpha request.
 ///
+/// This is the library's one walk engine: lanes are replicate seeds, units
+/// are trials, and McmcInverter::compute() runs it as one lane and one
+/// unit, batched_grid_build() as one lane and G units.
+///
 /// The AI-tuning loop probes many (alpha, eps, delta) trials against one
 /// matrix, each replicated R times to estimate run-to-run variance.  Trials
 /// sharing alpha run the *same* Markov chains — the kernel B = I - D^-1 A_a
@@ -33,7 +37,7 @@
 /// at each trial's chain-count boundary, in the same (chain-major,
 /// step-major) order the standalone inverter uses — so every trial's
 /// assembled P is bit-identical to McmcInverter::compute() with the same
-/// seed, at any OpenMP thread count and rank partition.  This turns
+/// seed, at any OpenMP thread count.  This turns
 /// G trials x O(walks) into ~1 x O(walks) + G x O(assembly), where the
 /// scatter stores hide in the walk's pointer-chased load stalls.
 ///
@@ -132,8 +136,8 @@ struct ReplicatedGridResult {
 /// Replicate r of the result is bit-identical to
 /// `batched_grid_build(a, alpha, trials, options with seed =
 /// replicate_seeds[r], kernel_cache)` — and therefore to the standalone
-/// `McmcInverter::compute()` per trial — at any OpenMP thread count and rank
-/// partition.  `options.seed` is ignored; the replicate seeds key the chain
+/// `McmcInverter::compute()` per trial — at any OpenMP thread count.
+/// `options.seed` is ignored; the replicate seeds key the chain
 /// streams.  Per-(trial, replicate) build_seconds apportions the shared
 /// ensemble wall time by that build's own truncated transition share.
 ///

@@ -19,10 +19,14 @@
 
 namespace mcmi {
 
-/// Per-thread append-only row storage.
+/// Per-thread append-only row storage.  Every emitted entry writes the
+/// two vectors' end pointers, so the padding keeps neighbouring threads'
+/// arenas in one std::vector out of each other's cache lines without
+/// asking the allocator for over-aligned storage.
 struct RowArena {
   std::vector<index_t> cols;
   std::vector<real_t> vals;
+  char pad[128 - sizeof(std::vector<index_t>) - sizeof(std::vector<real_t>)];
 };
 
 /// Where one assembled row lives: (arena index, offset, length).

@@ -19,8 +19,8 @@
 //
 // Chains are embarrassingly parallel: OpenMP over rows, and every
 // (row, chain) pair draws from an RNG stream keyed by its global index, so
-// the result is identical at any thread count — this stands in for the
-// paper's hybrid MPI+OpenMP decomposition (see ChainPartition).
+// the result is identical at any thread count.  A standalone build is one
+// lane and one unit of the batched walk engine (mcmc/batched_build.hpp).
 
 #include <memory>
 
@@ -39,18 +39,12 @@ struct McmcOptions {
   real_t filling_factor = 2.0;    ///< retained nnz(P) <= factor * nnz(A)
   real_t truncation_threshold = 1e-9;  ///< drop |P_ij| below this
   index_t walk_cap = 256;         ///< hard safety cap on walk length
-  index_t ranks = 2;              ///< rank-like chain partition (paper: 2 MPI)
   u64 seed = 20250922;            ///< base RNG seed (arXiv date of the paper)
   SamplingMethod sampling = SamplingMethod::kAlias;  ///< successor sampler
   /// Cooperative cancellation / deadline, polled once per row; not owned.
   /// A build that stops early discards all partial artifacts and reports
   /// the reason in McmcBuildInfo::status.
   const CancelToken* cancel = nullptr;
-  /// Opt out of the compile-time SIMD lane tier of the lockstep engine
-  /// (mcmc/batched_build.cpp): when set, interleaved ensembles always run
-  /// the dynamic-lane-count path.  The two tiers are bit-identical; this
-  /// knob exists for A/B benchmarking and conformance testing only.
-  bool force_dynamic_lanes = false;
 };
 
 /// Diagnostics from a preconditioner build.

@@ -1,7 +1,7 @@
 // Tests for src/mcmc/batched_build: every trial of a batched grid build must
 // be bit-identical to its standalone McmcInverter::compute() — the CRN
-// prefix-sharing invariant — across thread counts, rank partitions, sampling
-// methods, and convergent / divergent kernels.
+// prefix-sharing invariant — across thread counts, sampling methods, and
+// convergent / divergent kernels.
 
 #include <gtest/gtest.h>
 
@@ -108,28 +108,25 @@ TEST(BatchedBuild, BitIdenticalOnDivergentKernel) {
   check_grid(a, 0.01, test_grid(), cdf, "divergent/cdf");
 }
 
-TEST(BatchedBuild, DeterministicAcrossThreadCountsAndRanks) {
+TEST(BatchedBuild, DeterministicAcrossThreadCounts) {
   const CsrMatrix a = pdd_real_sparse(50, 0.15, 51);
   const std::vector<GridTrial> trials = test_grid();
 
-  auto build = [&](int threads, index_t ranks) {
+  auto build = [&](int threads) {
 #ifdef _OPENMP
     omp_set_num_threads(threads);
 #else
     (void)threads;
 #endif
-    McmcOptions opt;
-    opt.ranks = ranks;
-    return batched_grid_build(a, 1.0, trials, opt);
+    return batched_grid_build(a, 1.0, trials);
   };
 
 #ifdef _OPENMP
   const int saved = omp_get_max_threads();
 #endif
-  const BatchedGridResult r1 = build(1, 2);
-  const BatchedGridResult r2 = build(2, 2);
-  const BatchedGridResult r4 = build(4, 2);
-  const BatchedGridResult rank1 = build(4, 1);
+  const BatchedGridResult r1 = build(1);
+  const BatchedGridResult r2 = build(2);
+  const BatchedGridResult r4 = build(4);
 #ifdef _OPENMP
   omp_set_num_threads(saved);
 #endif
@@ -137,7 +134,6 @@ TEST(BatchedBuild, DeterministicAcrossThreadCountsAndRanks) {
   for (std::size_t t = 0; t < trials.size(); ++t) {
     expect_equal(r2.preconditioners[t], r1.preconditioners[t], "2-thread", t);
     expect_equal(r4.preconditioners[t], r1.preconditioners[t], "4-thread", t);
-    expect_equal(rank1.preconditioners[t], r1.preconditioners[t], "1-rank", t);
     EXPECT_EQ(r2.info[t].total_transitions, r1.info[t].total_transitions);
     EXPECT_EQ(r4.info[t].total_transitions, r1.info[t].total_transitions);
   }
@@ -232,29 +228,26 @@ TEST(ReplicateBatchedBuild, BitIdenticalOnDivergentKernel) {
   check_replicated(a, 0.01, test_grid(), seeds, cdf, "rep/divergent/cdf");
 }
 
-TEST(ReplicateBatchedBuild, DeterministicAcrossThreadCountsAndRanks) {
+TEST(ReplicateBatchedBuild, DeterministicAcrossThreadCounts) {
   const CsrMatrix a = pdd_real_sparse(50, 0.15, 51);
   const std::vector<GridTrial> trials = test_grid();
   const std::vector<u64> seeds = {31, 32, 33};
 
-  auto build = [&](int threads, index_t ranks) {
+  auto build = [&](int threads) {
 #ifdef _OPENMP
     omp_set_num_threads(threads);
 #else
     (void)threads;
 #endif
-    McmcOptions opt;
-    opt.ranks = ranks;
-    return replicate_batched_grid_build(a, 1.0, trials, seeds, opt);
+    return replicate_batched_grid_build(a, 1.0, trials, seeds);
   };
 
 #ifdef _OPENMP
   const int saved = omp_get_max_threads();
 #endif
-  const ReplicatedGridResult r1 = build(1, 2);
-  const ReplicatedGridResult r2 = build(2, 2);
-  const ReplicatedGridResult r4 = build(4, 2);
-  const ReplicatedGridResult rank1 = build(4, 1);
+  const ReplicatedGridResult r1 = build(1);
+  const ReplicatedGridResult r2 = build(2);
+  const ReplicatedGridResult r4 = build(4);
 #ifdef _OPENMP
   omp_set_num_threads(saved);
 #endif
@@ -265,8 +258,6 @@ TEST(ReplicateBatchedBuild, DeterministicAcrossThreadCountsAndRanks) {
                    r1.replicates[r].preconditioners[t], "rep-2-thread", t);
       expect_equal(r4.replicates[r].preconditioners[t],
                    r1.replicates[r].preconditioners[t], "rep-4-thread", t);
-      expect_equal(rank1.replicates[r].preconditioners[t],
-                   r1.replicates[r].preconditioners[t], "rep-1-rank", t);
       EXPECT_EQ(r2.replicates[r].info[t].total_transitions,
                 r1.replicates[r].info[t].total_transitions);
     }
@@ -459,139 +450,6 @@ TEST(MultiAlphaBuild, DivergenceRetiresOneAlphaOnly) {
       multi_alpha_grid_build(a, groups, seeds, opt);
   EXPECT_TRUE(multi.shared_successors);
   check_multi_alpha(a, groups, seeds, opt, "multi/divergent");
-}
-
-/// A/B conformance for the compile-time SIMD lane tier: the same replicate
-/// build with the spec tier eligible (seed counts 4/8/16 dispatch to
-/// run_lockstep_chains_spec<W>) and with force_dynamic_lanes set must be
-/// bit-identical, per replicate and per trial, including the walk
-/// accounting.  Dynamic-vs-standalone equality is already pinned above, so
-/// this transitively pins spec-vs-standalone.
-void check_lane_spec(const CsrMatrix& a, real_t alpha,
-                     const std::vector<GridTrial>& trials,
-                     const std::vector<u64>& seeds,
-                     const McmcOptions& options, const char* label) {
-  const ReplicatedGridResult spec =
-      replicate_batched_grid_build(a, alpha, trials, seeds, options);
-  McmcOptions dyn = options;
-  dyn.force_dynamic_lanes = true;
-  const ReplicatedGridResult dynamic =
-      replicate_batched_grid_build(a, alpha, trials, seeds, dyn);
-  ASSERT_EQ(spec.replicates.size(), seeds.size());
-  ASSERT_EQ(dynamic.replicates.size(), seeds.size());
-  for (std::size_t r = 0; r < seeds.size(); ++r) {
-    for (std::size_t t = 0; t < trials.size(); ++t) {
-      expect_equal(spec.replicates[r].preconditioners[t],
-                   dynamic.replicates[r].preconditioners[t], label,
-                   r * 100 + t);
-      EXPECT_EQ(spec.replicates[r].info[t].total_transitions,
-                dynamic.replicates[r].info[t].total_transitions)
-          << label << " replicate " << r << " trial " << t;
-      EXPECT_EQ(spec.replicates[r].info[t].divergence_retirements,
-                dynamic.replicates[r].info[t].divergence_retirements)
-          << label << " replicate " << r << " trial " << t;
-    }
-  }
-}
-
-std::vector<u64> lane_seeds(std::size_t count) {
-  std::vector<u64> seeds(count);
-  for (std::size_t i = 0; i < count; ++i) seeds[i] = 1000 + 37 * i;
-  return seeds;
-}
-
-TEST(LaneSpecialisation, MatchesDynamicAtEveryWidth) {
-  const CsrMatrix a = laplace_2d(8);
-  const std::vector<GridTrial> trials = {{0.25, 0.125}, {0.5, 0.5}};
-  for (std::size_t width : {4u, 8u, 16u}) {
-    check_lane_spec(a, 1.0, trials, lane_seeds(width), {}, "lane/alias");
-    McmcOptions cdf;
-    cdf.sampling = SamplingMethod::kInverseCdf;
-    check_lane_spec(a, 1.0, trials, lane_seeds(width), cdf, "lane/cdf");
-  }
-}
-
-TEST(LaneSpecialisation, MatchesDynamicOnRandomSparse) {
-  const CsrMatrix a = pdd_real_sparse(60, 0.12, 77);
-  check_lane_spec(a, 2.0, test_grid(), lane_seeds(8), {}, "lane/random");
-}
-
-TEST(LaneSpecialisation, MatchesDynamicOnDivergentKernel) {
-  // The divergence guard retires all of a lane's groups at the counted step
-  // without marking the state; both tiers must take that path identically.
-  const CsrMatrix a = divergent_matrix();
-  McmcOptions opt;
-  opt.walk_cap = 64;
-  check_lane_spec(a, 0.01, test_grid(), lane_seeds(4), opt,
-                  "lane/divergent/alias");
-  McmcOptions cdf = opt;
-  cdf.sampling = SamplingMethod::kInverseCdf;
-  check_lane_spec(a, 0.01, test_grid(), lane_seeds(4), cdf,
-                  "lane/divergent/cdf");
-}
-
-TEST(LaneSpecialisation, MatchesDynamicOnSingleTrial) {
-  // A one-trial grid makes the live template one unit wide, which
-  // dispatches the register-resident single-unit engine inside the spec
-  // tier (the replicate-evaluation shape of the tuning loop).  Pin it
-  // against the dynamic tier at every specialised width, under both
-  // sampling methods, and across the divergence-retirement path.
-  const CsrMatrix a = laplace_2d(8);
-  const std::vector<GridTrial> one = {{0.25, 0.125}};
-  for (std::size_t width : {4u, 8u, 16u}) {
-    check_lane_spec(a, 1.0, one, lane_seeds(width), {}, "lane/single/alias");
-    McmcOptions cdf;
-    cdf.sampling = SamplingMethod::kInverseCdf;
-    check_lane_spec(a, 1.0, one, lane_seeds(width), cdf, "lane/single/cdf");
-  }
-  McmcOptions div_opt;
-  div_opt.walk_cap = 64;
-  check_lane_spec(divergent_matrix(), 0.01, one, lane_seeds(8), div_opt,
-                  "lane/single/divergent");
-}
-
-TEST(LaneSpecialisation, MatchesDynamicWithDuplicateSeeds) {
-  // Duplicate seeds give lanes identical streams: retirement happens on the
-  // same round in every duplicate lane, the adversarial case for the
-  // active-mask bookkeeping.
-  const CsrMatrix a = laplace_2d(8);
-  const std::vector<GridTrial> trials = {{0.25, 0.125}};
-  const std::vector<u64> seeds = {42, 42, 7, 42, 7, 42, 42, 42};
-  check_lane_spec(a, 1.0, trials, seeds, {}, "lane/dup-seeds");
-}
-
-TEST(LaneSpecialisation, DeterministicAcrossThreadCounts) {
-  const CsrMatrix a = pdd_real_sparse(50, 0.15, 51);
-  const std::vector<GridTrial> trials = {{0.25, 0.125}, {0.5, 0.25}};
-  const std::vector<u64> seeds = lane_seeds(4);
-
-  auto build = [&](int threads) {
-#ifdef _OPENMP
-    omp_set_num_threads(threads);
-#else
-    (void)threads;
-#endif
-    return replicate_batched_grid_build(a, 1.0, trials, seeds);
-  };
-
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-#endif
-  const ReplicatedGridResult r1 = build(1);
-  const ReplicatedGridResult r2 = build(2);
-  const ReplicatedGridResult r4 = build(4);
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
-
-  for (std::size_t r = 0; r < seeds.size(); ++r) {
-    for (std::size_t t = 0; t < trials.size(); ++t) {
-      expect_equal(r2.replicates[r].preconditioners[t],
-                   r1.replicates[r].preconditioners[t], "lane-2-thread", t);
-      expect_equal(r4.replicates[r].preconditioners[t],
-                   r1.replicates[r].preconditioners[t], "lane-4-thread", t);
-    }
-  }
 }
 
 TEST(BatchedBuild, RejectsBadInputs) {

@@ -1,4 +1,4 @@
-// Tests for src/core: RNG streams, parallel partition, tables, env parsing.
+// Tests for src/core: RNG streams, parallel_for, tables, env parsing.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #endif
 
 #include "core/env.hpp"
+#include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/table.hpp"
@@ -93,30 +94,6 @@ TEST(Rng, NormalScaleShift) {
   real_t sum = 0.0;
   for (int i = 0; i < n; ++i) sum += normal(rng, 3.0, 0.5);
   EXPECT_NEAR(sum / n, 3.0, 0.02);
-}
-
-TEST(ChainPartition, CoversRangeExactly) {
-  for (index_t total : {0, 1, 7, 100, 101}) {
-    for (index_t ranks : {1, 2, 3, 8}) {
-      ChainPartition part(total, ranks);
-      index_t covered = 0;
-      for (index_t r = 0; r < ranks; ++r) {
-        EXPECT_EQ(part.begin(r), covered);
-        covered += part.size(r);
-      }
-      EXPECT_EQ(covered, total);
-    }
-  }
-}
-
-TEST(ChainPartition, BalancedWithinOne) {
-  ChainPartition part(103, 4);
-  index_t lo = 103, hi = 0;
-  for (index_t r = 0; r < 4; ++r) {
-    lo = std::min(lo, part.size(r));
-    hi = std::max(hi, part.size(r));
-  }
-  EXPECT_LE(hi - lo, 1);
 }
 
 TEST(ParallelFor, VisitsEveryIndexOnce) {
