@@ -118,22 +118,22 @@ u64 combine_keys(u64 acc, u64 key, Rest... rest) {
 }
 }  // namespace detail
 
+/// The key of the site (seed, site indices...): the seed of make_stream().
+/// `substream(stream_key(seed, keys...), last)` is `make_stream(seed,
+/// keys..., last)`, bit for bit, so a loop over `last` hashes the shared
+/// prefix once.
+template <typename... Keys>
+u64 stream_key(u64 seed, Keys... keys) {
+  return detail::combine_keys(mix64(seed ^ 0x2545f4914f6cdd1dULL),
+                              static_cast<u64>(keys)...);
+}
+
 /// Create an independent random stream keyed by (seed, site indices...).
 /// Identical keys always give identical streams; distinct keys give streams
 /// that are statistically independent for all practical purposes.
 template <typename... Keys>
 Xoshiro256 make_stream(u64 seed, Keys... keys) {
-  return Xoshiro256(detail::combine_keys(mix64(seed ^ 0x2545f4914f6cdd1dULL),
-                                         static_cast<u64>(keys)...));
-}
-
-/// The key of the site prefix (seed, keys...): `substream(stream_key(seed,
-/// keys...), last)` is `make_stream(seed, keys..., last)`, bit for bit, so a
-/// loop over `last` hashes the shared prefix once.
-template <typename... Keys>
-u64 stream_key(u64 seed, Keys... keys) {
-  return detail::combine_keys(mix64(seed ^ 0x2545f4914f6cdd1dULL),
-                              static_cast<u64>(keys)...);
+  return Xoshiro256(stream_key(seed, keys...));
 }
 
 /// The stream of site `last` under a prefix key from stream_key().

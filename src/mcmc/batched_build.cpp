@@ -433,9 +433,8 @@ EngineOutput run_interleaved_engine(const CsrMatrix& a,
              static_cast<real_t>(n))));
   const real_t threshold = options.truncation_threshold;
 
-  // Per-(lane, unit) arenas and row slices: the assembly path of the
-  // standalone inverter, instantiated once per build.  Flat index
-  // lane * n_units + unit throughout.
+  // Per-(lane, unit) arenas and row slices, one assembly per build.  Flat
+  // index lane * n_units + unit throughout.
   const auto n_builds = static_cast<std::size_t>(n_lanes) *
                         static_cast<std::size_t>(n_units);
   const auto num_threads = static_cast<std::size_t>(max_threads());

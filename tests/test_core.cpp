@@ -50,6 +50,17 @@ TEST(Rng, KeyOrderMatters) {
   EXPECT_NE(a(), b());
 }
 
+TEST(Rng, SubstreamOfPrefixKeyIsMakeStream) {
+  // The walk engine keys a row once and derives each chain's stream from
+  // it; that must be the (seed, row, chain) stream itself.
+  const u64 row_key = stream_key(20250922, 17);
+  for (u64 chain : {0ULL, 1ULL, 116ULL}) {
+    Xoshiro256 a = substream(row_key, chain);
+    Xoshiro256 b = make_stream(20250922, 17, chain);
+    for (int i = 0; i < 16; ++i) EXPECT_EQ(a(), b());
+  }
+}
+
 TEST(Rng, Uniform01InRange) {
   Xoshiro256 rng = make_stream(5);
   for (int i = 0; i < 10000; ++i) {
