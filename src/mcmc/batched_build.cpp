@@ -440,8 +440,12 @@ EngineOutput run_interleaved_engine(const CsrMatrix& a,
   const auto num_threads = static_cast<std::size_t>(max_threads());
   std::vector<std::vector<RowArena>> arenas(
       n_builds, std::vector<RowArena>(num_threads));
-  std::vector<std::vector<RowSlice>> row_slices(
-      n_builds, std::vector<RowSlice>(static_cast<std::size_t>(n)));
+  // Sized in place: a fill from one prototype would also allocate and copy
+  // a temporary n-row table, doubling the first-touch cost of a large build.
+  std::vector<std::vector<RowSlice>> row_slices(n_builds);
+  for (std::vector<RowSlice>& slices : row_slices) {
+    slices.resize(static_cast<std::size_t>(n));
+  }
   std::vector<long long> transitions(n_builds, 0);
   std::vector<long long> retired(n_builds, 0);
   // Cooperative cancellation: an `omp for` cannot break, so a shared flag
