@@ -1,6 +1,7 @@
 // Stored conformance oracle: 64-bit content digests (core/hash.hpp) of the
-// SpMV products, MCMC preconditioners, Krylov solutions and one served
-// answer, pinned as literal values.  The other bit-identity suites compare
+// SpMV products, MCMC preconditioners, Krylov solutions, one served answer,
+// the eq. (4) dataset labels and one direct tuning run, pinned as literal
+// values.  The other bit-identity suites compare
 // two engines of this library with each other, so a change that moves both
 // sides at once still passes them; this table does not move with the code.
 //
@@ -27,10 +28,14 @@
 #include "core/hash.hpp"
 #include "core/rng.hpp"
 #include "gen/laplace.hpp"
+#include "gen/matrix_set.hpp"
 #include "gen/random_sparse.hpp"
+#include "hpo/mcmc_tuner.hpp"
 #include "krylov/solver.hpp"
 #include "mcmc/batched_build.hpp"
 #include "mcmc/inverter.hpp"
+#include "pipeline/dataset_builder.hpp"
+#include "pipeline/metric.hpp"
 #include "precond/preconditioner.hpp"
 #include "precond/sparse_precond.hpp"
 #include "serve/solve_service.hpp"
@@ -83,6 +88,8 @@ constexpr GoldenRow kGolden[] = {
     {"multi_alpha_grid_build/fallback/pdd_real_sparse(60)", 0xfe6168af9e094a71ULL},
     {"multi_alpha_grid_build/cdf_shared/pdd_real_sparse(40)", 0x122809d571863c2cULL},
     {"multi_alpha_grid_build/divergent(16)", 0xd217578bea0ad56aULL},
+    {"build_dataset/labels/laplace_2d(8)+pdd_real_sparse(128)", 0x9291a1b8f4716314ULL},
+    {"tune_mcmc_params/bicgstab/pdd_real_sparse(64)", 0x470491f9dd38d420ULL},
 };
 // clang-format on
 
@@ -375,6 +382,62 @@ TEST(Golden, KrylovSolutions) {
         expect_golden(std::string(method.name) + "/mcmc/" + m.name, digest(x));
       }
     }
+  });
+}
+
+// Every label of a two-matrix, two-replicate corpus: matrix id, encoded x_M,
+// mean and deviation of y.  The reduced grid and the 8x8 Laplacian keep the
+// row fast; the SPD member's CG block and the near-zero-alpha divergence
+// probes stay as build_dataset makes them.  Given the whole 4000-step
+// budget, every CG solve and every divergence-probe solve runs on past the
+// step where eq. (4) already reads y_cap.
+TEST(Golden, DatasetLabels) {
+  const std::vector<mcmi::NamedMatrix> corpus = {
+      {"laplace_2d(8)", laplace_2d(8), true},
+      make_matrix("PDD_RealSparse_N128")};
+  DatasetBuildOptions options;
+  options.replicates = 2;
+  options.grid = {{1.0, 0.5, 0.5}, {2.0, 0.25, 0.125}, {4.0, 0.125, 0.5}};
+  at_thread_counts([&] {
+    const SurrogateDataset dataset = build_dataset(corpus, options);
+    Hash64 h;
+    for (const LabeledSample& s : dataset.samples) {
+      h.update(static_cast<u64>(s.matrix_id));
+      h.update_array(s.xm.data(), s.xm.size());
+      h.update_bits(s.y_mean);
+      h.update_bits(s.y_std);
+    }
+    expect_golden("build_dataset/labels/laplace_2d(8)+pdd_real_sparse(128)",
+                  h.digest());
+  });
+}
+
+// A short direct TPE run with BiCGStab: its 16-step baseline on this matrix
+// makes every candidate at the near-zero alpha a y_cap label.  The row
+// folds the incumbent, its median y and the whole history.
+TEST(Golden, TuneMcmcParams) {
+  const mcmi::NamedMatrix m = make_matrix("PDD_RealSparse_N64");
+  hpo::McmcTuneOptions options;
+  options.alphas = {0.02, 1.0, 2.0};
+  options.rounds = 2;
+  options.candidates_per_round = 4;
+  options.replicates = 2;
+  at_thread_counts([&] {
+    PerformanceMeasurer measurer(m.matrix, DatasetBuildOptions().solve);
+    const hpo::McmcTuneResult result =
+        hpo::tune_mcmc_params(measurer, KrylovMethod::kBiCGStab, options);
+    Hash64 h;
+    h.update_bits(result.best.alpha);
+    h.update_bits(result.best.eps);
+    h.update_bits(result.best.delta);
+    h.update_bits(result.best_median);
+    for (const hpo::McmcTrialResult& trial : result.history) {
+      h.update_bits(trial.params.alpha);
+      h.update_bits(trial.params.eps);
+      h.update_bits(trial.params.delta);
+      h.update_bits(trial.median_y);
+    }
+    expect_golden("tune_mcmc_params/bicgstab/pdd_real_sparse(64)", h.digest());
   });
 }
 
