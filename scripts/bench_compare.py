@@ -11,7 +11,10 @@ times differ by a roughly uniform factor.  ``--calibrate`` estimates that
 factor as the median cpu-time ratio over the *ungated control* rows shared
 by both reports (rows not matched by ``--patterns``) and gates on the
 calibrated ratio instead, which catches rows that regressed relative to the
-controls while tolerating overall machine-speed differences.  (A slowdown
+controls while tolerating overall machine-speed differences.  Patterns after
+``--calibrate`` narrow the controls to the ungated rows they match: a
+baseline recorded on one CPU calibrates only against single-threaded rows,
+whose run conditions do not change with the runner's thread count.  (A slowdown
 that hits the controls in exactly the same proportion is invisible to the
 calibrated gate — that is the price of hardware independence; the committed
 baseline is refreshed whenever a PR intentionally shifts the recorded
@@ -92,8 +95,10 @@ def main():
         "--threshold", type=float, default=0.30,
         help="maximum tolerated slowdown, e.g. 0.30 = +30%% (default)")
     parser.add_argument(
-        "--calibrate", action="store_true",
-        help="divide ratios by the median ratio over the ungated rows")
+        "--calibrate", nargs="*", metavar="PATTERN",
+        help="divide ratios by the median ratio over the ungated rows, or "
+             "over the ungated rows matching PATTERN (prefix regexes) "
+             "when any are given")
     parser.add_argument(
         "--pairs", nargs="*", default=[], metavar="FAST:SLOW:MAXRATIO",
         help="same-run invariants on the current report: fail unless "
@@ -126,12 +131,15 @@ def main():
               file=sys.stderr)
         sys.exit(2)
 
+    calibrating = args.calibrate is not None
     calibration = 1.0
-    if args.calibrate:
+    if calibrating:
         # Estimate the machine-speed factor from the *ungated* control rows:
         # calibrating on the gated rows themselves would let a uniform
         # regression of the gated kernels cancel itself out.
-        controls = [n for n in shared if n not in gated]
+        controls = [n for n in shared if n not in gated and (
+            not args.calibrate
+            or any(re.match(p, n) for p in args.calibrate))]
         if not controls:
             print("bench_compare: --calibrate needs ungated control rows "
                   "shared by both reports (the CI filter includes "
@@ -143,8 +151,8 @@ def main():
     limit = 1.0 + args.threshold
     lines = [
         "| benchmark | baseline | current | ratio |"
-        + (" calibrated |" if args.calibrate else "") + " status |",
-        "|---|---|---|---|" + ("---|" if args.calibrate else "") + "---|",
+        + (" calibrated |" if calibrating else "") + " status |",
+        "|---|---|---|---|" + ("---|" if calibrating else "") + "---|",
     ]
     failures = []
     for name in shared:
@@ -157,7 +165,7 @@ def main():
         status = ("FAIL" if not ok else "ok") if is_gated else "info"
         row = (f"| {name} | {fmt_time(base[name])} | {fmt_time(cur[name])} "
                f"| {ratio:.2f}x |")
-        if args.calibrate:
+        if calibrating:
             row += f" {adjusted:.2f}x |"
         row += f" {status} |"
         lines.append(row)
@@ -207,7 +215,7 @@ def main():
                     for n in names]
 
         top_lines = ["", f"Top {args.top} movements"
-                     + (" (calibrated)" if args.calibrate else "") + ":"]
+                     + (" (calibrated)" if calibrating else "") + ":"]
         if slowest:
             top_lines += ["", "| largest regressions | baseline | current "
                           "| ratio |", "|---|---|---|---|"]
@@ -221,7 +229,7 @@ def main():
 
     header = (f"### bench_compare: {len(gated)} gated rows, "
               f"threshold +{args.threshold:.0%}"
-              + (f", calibration {calibration:.2f}x" if args.calibrate
+              + (f", calibration {calibration:.2f}x" if calibrating
                  else ""))
     table = header + "\n\n" + "\n".join(lines + top_lines + pair_lines) + "\n"
     print(table)
