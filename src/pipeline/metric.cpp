@@ -1,6 +1,7 @@
 #include "pipeline/metric.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
@@ -41,11 +42,42 @@ McmcOptions PerformanceMeasurer::replicate_options(index_t replicate) const {
   return options;
 }
 
+index_t PerformanceMeasurer::label_budget(index_t steps_without) const {
+  const index_t full = solve_options_.max_iterations;
+  if (steps_without <= 0) return full;
+  // The smallest B with B / steps_without >= y_cap in the arithmetic that
+  // computes y: the product y_cap * steps_without may round below its exact
+  // value, so step B up until the quotient clears the cap.
+  const auto s0 = static_cast<real_t>(steps_without);
+  real_t budget = std::ceil(y_cap_ * s0);
+  while (budget < static_cast<real_t>(full) && budget / s0 < y_cap_) {
+    budget += 1.0;
+  }
+  return budget < static_cast<real_t>(full) ? static_cast<index_t>(budget)
+                                            : full;
+}
+
 void PerformanceMeasurer::score_solve(const SparseApproximateInverse& precond,
                                       KrylovMethod method,
                                       MetricResult& result) const {
+  // The solve stops at the label budget B, and the label is the one the
+  // full budget gives:
+  // - CG and BiCGStab loop `it < max_iterations`; GMRES reads
+  //   max_iterations only once result.iterations reaches it (the restart
+  //   check and the inner-loop bound).  Every step before B does the same
+  //   arithmetic, so a solve that stops before B keeps its steps, status
+  //   and x.
+  // - A solve the full budget stops at step k >= B, or never, scored
+  //   min(y_cap, k / s0) = y_cap, or a miss.  Under the cap it either
+  //   converges at exactly B (GMRES verifies the cut cycle's iterate at the
+  //   restart), scoring min(y_cap, B / s0) = y_cap, or misses.
+  // - A miss counts solve_options_.max_iterations, as before: when
+  //   B < max_iterations, max_iterations / s0 > B / s0 >= y_cap, so a miss
+  //   scores y_cap too.  When B >= max_iterations nothing changes.
+  SolveOptions options = solve_options_;
+  options.max_iterations = label_budget(result.steps_without);
   std::vector<real_t> x;
-  const SolveResult res = solve(method, a_, rhs_, precond, x, solve_options_);
+  const SolveResult res = solve(method, a_, rhs_, precond, x, options);
   result.preconditioned_converged = res.converged();
   result.baseline_converged = true;  // baseline counted even when saturated
   result.steps_with =

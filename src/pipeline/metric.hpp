@@ -19,8 +19,12 @@ namespace mcmi {
 
 struct MetricResult {
   real_t y = 0.0;                ///< the eq. (4) ratio
+  /// Preconditioned steps to convergence within the label budget, or the
+  /// solve options' max_iterations for a miss, including a solve stopped
+  /// at the budget.
   index_t steps_with = 0;
   index_t steps_without = 0;
+  /// Converged within the label budget (see PerformanceMeasurer).
   bool preconditioned_converged = false;
   bool baseline_converged = false;
   McmcBuildInfo build;           ///< sampler diagnostics
@@ -37,6 +41,16 @@ struct MetricResult {
 /// each cell with its own P and its own output slot; every solve's kernels
 /// stay serial at these sizes, so the y's are bit-identical at any thread
 /// count.  A measurer is not itself thread-safe: call it from one thread.
+///
+/// Label budget: y = min(y_cap, steps_with / steps_without) is y_cap once a
+/// preconditioned solve has run B = ceil(y_cap * steps_without) steps,
+/// whatever it does next.  So each preconditioned solve stops at
+/// min(max_iterations, B) steps, with B rounded so that B / steps_without
+/// >= y_cap holds in floating point.  A miss still counts max_iterations
+/// steps, and every step before B is the same arithmetic as under the full
+/// budget, so every y is bit-identical to the full-budget label
+/// (score_solve spells out why).  The unpreconditioned baseline always
+/// runs the full budget.
 class PerformanceMeasurer {
  public:
   /// `solve_options` applies to both baseline and preconditioned runs;
@@ -107,8 +121,11 @@ class PerformanceMeasurer {
   /// The chain-stream seeds of replicates 0..replicates-1, in order — the
   /// lane seeds handed to the replicate-batched builders.
   [[nodiscard]] std::vector<u64> replicate_seeds(index_t replicates) const;
-  /// Solve with `precond`, fill the step counts and the capped eq. (4)
-  /// ratio of `result` (steps_without must be set).
+  /// Iteration limit of a preconditioned solve: the label budget above, or
+  /// the full max_iterations when that is smaller or steps_without is 0.
+  [[nodiscard]] index_t label_budget(index_t steps_without) const;
+  /// Solve with `precond` within the label budget, fill the step counts and
+  /// the capped eq. (4) ratio of `result` (steps_without must be set).
   /// Reads only immutable state, so concurrent cells may call it.
   void score_solve(const SparseApproximateInverse& precond,
                    KrylovMethod method, MetricResult& result) const;

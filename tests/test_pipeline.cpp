@@ -1,9 +1,10 @@
-// Tests for src/pipeline: the eq. (4) metric, dataset building shapes and
-// measurement bookkeeping, and the thread-count invariance of the
-// concurrent label loops.
+// Tests for src/pipeline: the eq. (4) metric and its label budget, dataset
+// building shapes and measurement bookkeeping, and the thread-count
+// invariance of the concurrent label loops.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #ifdef _OPENMP
@@ -13,9 +14,11 @@
 #include "core/cancellation.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "gen/laplace.hpp"
 #include "gen/matrix_set.hpp"
 #include "pipeline/dataset_builder.hpp"
 #include "pipeline/metric.hpp"
+#include "precond/sparse_precond.hpp"
 #include "stats/summary.hpp"
 
 namespace mcmi {
@@ -70,6 +73,82 @@ std::vector<std::vector<real_t>> divergence_ys(const NamedMatrix& matrix,
     }
   }
   return ys;
+}
+
+/// One label cell: an x_M point scored with one Krylov method.
+struct LabelCell {
+  McmcParams params;
+  KrylovMethod method;
+};
+
+/// eq. (4) labels worked out by hand with the whole solve budget:
+/// ys[cell][replicate], and how many of those solves ran past the label
+/// budget ceil(y_cap * steps_without) — the solves the measurer cuts short.
+struct FullBudgetLabels {
+  std::vector<std::vector<real_t>> ys;
+  index_t cut = 0;
+};
+
+/// Rebuilds every (cell, replicate) P the way PerformanceMeasurer seeds it
+/// (replicate r draws from mix64(seed + 0x9e3779b9 * (r + 1))), solves it
+/// once to `options.max_iterations` and applies eq. (4): a miss counts
+/// max_iterations steps, the ratio is capped at `y_cap`.
+FullBudgetLabels full_budget_labels(const CsrMatrix& a,
+                                    const std::vector<LabelCell>& cells,
+                                    const SolveOptions& options,
+                                    const McmcOptions& mcmc,
+                                    index_t replicates, real_t y_cap) {
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
+  auto steps = [&](const SolveResult& res) {
+    return res.converged() ? res.iterations : options.max_iterations;
+  };
+  FullBudgetLabels out;
+  for (const LabelCell& cell : cells) {
+    std::vector<real_t> x;
+    const IdentityPreconditioner identity;
+    const index_t without =
+        steps(solve(cell.method, a, b, identity, x, options));
+    std::vector<real_t> ys;
+    for (index_t r = 0; r < replicates; ++r) {
+      McmcOptions seeded = mcmc;
+      seeded.seed = mix64(mcmc.seed + 0x9e3779b9 * static_cast<u64>(r + 1));
+      const SparseApproximateInverse p(
+          McmcInverter(a, cell.params, seeded).compute(), "mcmcmi");
+      const SolveResult res = solve(cell.method, a, b, p, x, options);
+      if (static_cast<real_t>(res.iterations) >
+          std::ceil(y_cap * static_cast<real_t>(without))) {
+        ++out.cut;
+      }
+      ys.push_back(std::min(y_cap, static_cast<real_t>(steps(res)) /
+                                       static_cast<real_t>(without)));
+    }
+    out.ys.push_back(std::move(ys));
+  }
+  return out;
+}
+
+/// The cells build_dataset labels for one matrix, in dataset order: the
+/// grid with GMRES and BiCGStab, the CG block of an SPD matrix, then the
+/// divergence probes with GMRES and BiCGStab.
+std::vector<LabelCell> dataset_cells(const NamedMatrix& m,
+                                     const DatasetBuildOptions& opt) {
+  const KrylovMethod both[] = {KrylovMethod::kGMRES, KrylovMethod::kBiCGStab};
+  std::vector<LabelCell> cells;
+  for (const McmcParams& params : opt.grid) {
+    for (KrylovMethod method : both) cells.push_back({params, method});
+  }
+  if (m.spd) {
+    for (real_t eps : paper_eps_values()) {
+      for (real_t delta : paper_eps_values()) {
+        cells.push_back({{opt.cg_alpha, eps, delta}, KrylovMethod::kCG});
+      }
+    }
+  }
+  for (index_t d = 0; d < opt.divergence_samples; ++d) {
+    const McmcParams probe{0.01 + 0.01 * static_cast<real_t>(d), 0.5, 0.5};
+    for (KrylovMethod method : both) cells.push_back({probe, method});
+  }
+  return cells;
 }
 
 TEST(Metric, RatioBelowOneOnPreconditionableMatrix) {
@@ -281,6 +360,101 @@ TEST(Metric, SolveErrorsPropagateFromConcurrentCells) {
                    {{1.0, 0.5, 0.5}, {2.0, 0.25, 0.25}}, KrylovMethod::kGMRES,
                    3),
                Error);
+}
+
+TEST(LabelBudget, DatasetLabelsMatchFullBudgetLabels) {
+  // Every label build_dataset makes for a two-matrix corpus — grid, CG
+  // block and divergence probes — is bit-identical to the label of a solve
+  // run to the full 4000-step budget, although the measurer stops each
+  // solve once its label is settled.  The cut count keeps the comparison
+  // from passing on a corpus where the budget never bites.
+  DatasetBuildOptions opt;
+  opt.replicates = 2;
+  opt.grid = {{1.0, 0.5, 0.5}, {2.0, 0.25, 0.125}, {4.0, 0.125, 0.5}};
+  const std::vector<NamedMatrix> corpus = {
+      {"laplace_2d(8)", laplace_2d(8), true},
+      make_matrix("PDD_RealSparse_N128")};
+  const SurrogateDataset ds = build_dataset(corpus, opt);
+
+  index_t cut = 0;
+  std::size_t s = 0;
+  for (std::size_t id = 0; id < corpus.size(); ++id) {
+    McmcOptions mcmc = opt.mcmc;
+    mcmc.seed = mix64(opt.seed ^ static_cast<u64>(id + 1));
+    const FullBudgetLabels full =
+        full_budget_labels(corpus[id].matrix, dataset_cells(corpus[id], opt),
+                           opt.solve, mcmc, opt.replicates, 4.0);
+    cut += full.cut;
+    for (const std::vector<real_t>& ys : full.ys) {
+      ASSERT_LT(s, ds.samples.size());
+      EXPECT_EQ(ds.samples[s].y_mean, mean(ys)) << "sample " << s;
+      EXPECT_EQ(ds.samples[s].y_std, sample_std(ys)) << "sample " << s;
+      ++s;
+    }
+  }
+  EXPECT_EQ(s, ds.samples.size());
+  EXPECT_GT(cut, 0);
+}
+
+TEST(LabelBudget, NonIntegerCapKeepsLabels) {
+  // y_cap = 2.5 over an odd GMRES baseline puts y_cap * steps_without
+  // halfway between two integers; a budget rounded down would stop one
+  // step before the label is settled.
+  const NamedMatrix m = make_matrix("PDD_RealSparse_N128");
+  const DatasetBuildOptions opt;
+  const real_t y_cap = 2.5;
+  PerformanceMeasurer measurer(m.matrix, opt.solve, opt.mcmc, y_cap);
+  const real_t settled =
+      y_cap *
+      static_cast<real_t>(measurer.baseline_steps(KrylovMethod::kGMRES));
+  ASSERT_NE(settled, std::floor(settled));
+  const std::vector<LabelCell> cells = {
+      {{0.01, 0.5, 0.5}, KrylovMethod::kGMRES},
+      {{0.1, 0.0625, 0.0625}, KrylovMethod::kGMRES},
+      {{1.0, 0.5, 0.5}, KrylovMethod::kGMRES},
+      {{0.02, 0.5, 0.5}, KrylovMethod::kBiCGStab}};
+  const index_t replicates = 2;
+  const FullBudgetLabels full = full_budget_labels(
+      m.matrix, cells, opt.solve, opt.mcmc, replicates, y_cap);
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (index_t r = 0; r < replicates; ++r) {
+      EXPECT_EQ(measurer.measure(cells[c].params, cells[c].method, r).y,
+                full.ys[c][static_cast<std::size_t>(r)])
+          << "cell " << c << " replicate " << r;
+    }
+  }
+  EXPECT_GT(full.cut, 0);
+}
+
+TEST(LabelBudget, NothingCutWhenBudgetReachesMaxIterations) {
+  // With max_iterations below ceil(y_cap * steps_without) every solve runs
+  // to max_iterations as before, and a miss still scores
+  // max_iterations / steps_without, below the cap.
+  const NamedMatrix m = make_matrix("PDD_RealSparse_N128");
+  DatasetBuildOptions opt;
+  opt.solve.max_iterations = 80;
+  PerformanceMeasurer measurer(m.matrix, opt.solve, opt.mcmc);
+  ASSERT_GE(4 * measurer.baseline_steps(KrylovMethod::kGMRES),
+            opt.solve.max_iterations);
+  const std::vector<LabelCell> cells = {
+      {{0.01, 0.5, 0.5}, KrylovMethod::kGMRES},
+      {{0.1, 0.5, 0.5}, KrylovMethod::kGMRES},
+      {{1.0, 0.25, 0.125}, KrylovMethod::kGMRES}};
+  const index_t replicates = 2;
+  const FullBudgetLabels full = full_budget_labels(
+      m.matrix, cells, opt.solve, opt.mcmc, replicates, 4.0);
+  bool below_cap_miss = false;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    for (index_t r = 0; r < replicates; ++r) {
+      const MetricResult got =
+          measurer.measure(cells[c].params, cells[c].method, r);
+      EXPECT_EQ(got.y, full.ys[c][static_cast<std::size_t>(r)])
+          << "cell " << c << " replicate " << r;
+      if (!got.preconditioned_converged && got.y < 4.0) below_cap_miss = true;
+    }
+  }
+  EXPECT_EQ(full.cut, 0);
+  EXPECT_TRUE(below_cap_miss);
 }
 
 TEST(DatasetBuilder, SampleCountFormula) {
