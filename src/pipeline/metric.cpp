@@ -46,8 +46,9 @@ index_t PerformanceMeasurer::label_budget(index_t steps_without) const {
   const index_t full = solve_options_.max_iterations;
   if (steps_without <= 0) return full;
   // The smallest B with B / steps_without >= y_cap in the arithmetic that
-  // computes y: the product y_cap * steps_without may round below its exact
-  // value, so step B up until the quotient clears the cap.
+  // computes y.  ceil(y_cap * steps_without) alone can fall one short when
+  // the product rounds down onto an integer: y_cap = 0.1 * 39 over 20 steps
+  // gives 78, and 78 / 20 < y_cap.
   const auto s0 = static_cast<real_t>(steps_without);
   real_t budget = std::ceil(y_cap_ * s0);
   while (budget < static_cast<real_t>(full) && budget / s0 < y_cap_) {
@@ -67,10 +68,11 @@ void PerformanceMeasurer::score_solve(const SparseApproximateInverse& precond,
   //   check and the inner-loop bound).  Every step before B does the same
   //   arithmetic, so a solve that stops before B keeps its steps, status
   //   and x.
-  // - A solve the full budget stops at step k >= B, or never, scored
-  //   min(y_cap, k / s0) = y_cap, or a miss.  Under the cap it either
-  //   converges at exactly B (GMRES verifies the cut cycle's iterate at the
-  //   restart), scoring min(y_cap, B / s0) = y_cap, or misses.
+  // - A solve the full budget converges at step k >= B scored
+  //   min(y_cap, k / s0) = y_cap; one that did not converge scored a miss.
+  //   Under the cap it either converges at exactly B (GMRES verifies the
+  //   cut cycle's iterate at the restart), scoring min(y_cap, B / s0) =
+  //   y_cap, or misses.
   // - A miss counts solve_options_.max_iterations, as before: when
   //   B < max_iterations, max_iterations / s0 > B / s0 >= y_cap, so a miss
   //   scores y_cap too.  When B >= max_iterations nothing changes.
