@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -424,6 +425,36 @@ TEST(LabelBudget, NonIntegerCapKeepsLabels) {
     }
   }
   EXPECT_GT(full.cut, 0);
+}
+
+TEST(LabelBudget, CapJustAboveAConvergedSolveKeepsItsRatio) {
+  // With y_cap half a step above a solve's own step count k, the budget
+  // ends one step after k, so the solve still converges inside it and
+  // scores k / steps_without, below the cap.  A budget two or more steps
+  // short would turn it into a capped miss.
+  const NamedMatrix m = make_matrix("PDD_RealSparse_N128");
+  const DatasetBuildOptions opt;
+  PerformanceMeasurer uncapped(m.matrix, opt.solve, opt.mcmc,
+                               std::numeric_limits<real_t>::infinity());
+  const std::vector<LabelCell> cells = {
+      {{1.0, 0.5, 0.5}, KrylovMethod::kGMRES},
+      {{0.01, 0.5, 0.5}, KrylovMethod::kGMRES},
+      {{1.0, 0.5, 0.5}, KrylovMethod::kBiCGStab},
+      {{2.0, 0.25, 0.125}, KrylovMethod::kBiCGStab}};
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const MetricResult full = uncapped.measure(cells[c].params,
+                                               cells[c].method, 0);
+    ASSERT_TRUE(full.preconditioned_converged) << "cell " << c;
+    const auto k = static_cast<real_t>(full.steps_with);
+    const auto s0 = static_cast<real_t>(full.steps_without);
+    PerformanceMeasurer capped(m.matrix, opt.solve, opt.mcmc,
+                               (k + 0.5) / s0);
+    const MetricResult got = capped.measure(cells[c].params,
+                                            cells[c].method, 0);
+    EXPECT_TRUE(got.preconditioned_converged) << "cell " << c;
+    EXPECT_EQ(got.steps_with, full.steps_with) << "cell " << c;
+    EXPECT_EQ(got.y, k / s0) << "cell " << c;
+  }
 }
 
 TEST(LabelBudget, NothingCutWhenBudgetReachesMaxIterations) {
